@@ -167,6 +167,16 @@ else:
     relent_pairwise = _relent_pairwise_np
 
 
+def entropy_of_radius(r: float) -> float:
+    """entropy_from_radius for a single radius, without array overhead."""
+    r = min(r, 1.0)
+    lam, mu = 0.5 * (1.0 + r), 0.5 * (1.0 - r)
+    out = -lam * math.log(lam)
+    if mu > 0.0:
+        out -= mu * math.log(mu)
+    return out
+
+
 # pure-numpy references kept importable for cross-checks and benchmarks
 entropy_from_radius_numpy = _entropy_from_radius_np
 relent_pairwise_numpy = _relent_pairwise_np

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from . import _kernels
-from .channels import Channel, bloch_map, bloch_of_state
+from .channels import Channel, bloch_map, bloch_of_state, bloch_of_states
 from .opalg import entropy_batch, entropy_raw, logm_psd
 
 LOG_FLOOR = 1e-300
@@ -83,80 +83,116 @@ def dykstra(v: np.ndarray, projectors, iters: int = 500, tol: float = 1e-9) -> n
 
 # ---------------------------------------------------------------------------
 # chi over ensemble weights (concave maximization on a convex weight set)
+#
+# One ascent loop runs on an output backend: a pair objective(w) ->
+# (chi, average output) and gradient(average) -> member divergences to the
+# average, which is the gradient of chi in the weights.
 
-def maximize_chi_weights(outs: np.ndarray, w0: np.ndarray, projector=None,
-                         max_iter: int = 2000, stat_tol: float = 1e-11):
-    """Maximize H(sum_i w_i Y_i) - sum_i w_i H(Y_i) over feasible weights.
-
-    outs: stack (m, d, d) of member outputs.  The gradient is the vector
-    of member divergences to the average output.  On the bare simplex
-    (projector None) the ascent uses exponentiated-gradient steps (the
-    Blahut-Arimoto multiplicative update with a backtracked step size)
-    and an SLSQP finisher; a custom feasible-set projector switches to
-    Euclidean projected ascent.
-    """
+def matrix_backend(outs: np.ndarray):
+    """Backend for a stack (m, d, d) of member output matrices."""
     hs = entropy_batch(outs)
-    simplex_only = projector is None
 
     def objective(w):
         avg = np.einsum("i,ijk->jk", w, outs)
         return entropy_raw(avg) - float(w @ hs), avg
 
-    def move(w, grad, t):
-        if simplex_only:
-            scaled = w * np.exp(min(t, 60.0) * (grad - np.max(grad)))
-            total = scaled.sum()
-            return scaled / total if total > 0.0 else w
-        return projector(w + t * grad)
-
-    w = project_simplex(np.asarray(w0, dtype=float)) if simplex_only \
-        else projector(np.asarray(w0, dtype=float))
-    obj, avg = objective(w)
-    t = 1.0
-    for _ in range(max_iter):
+    def gradient(avg):
         # floored log so that states whose output leaves the support of
         # the average feel a strong pull (true gradient is +inf there)
         lam, u = np.linalg.eigh(avg)
         log_avg = (u * np.log(np.maximum(lam, 1e-40))) @ u.conj().T
-        cross = np.real(np.einsum("ijk,kj->i", outs, log_avg))
-        grad = -hs - cross
+        return -hs - np.real(np.einsum("ijk,kj->i", outs, log_avg))
+    return objective, gradient
+
+
+def bloch_backend(blochs: np.ndarray, pure_ref: bool = False):
+    """Backend for qubit outputs given as Bloch vectors (m, 3), free of
+    eigensolvers: the average is a Bloch vector r, and the log of its
+    state is alpha I + beta (r/|r|).sigma.  The eigenvalues (1 +- |r|)/2
+    are floored at 1e-40 as in matrix_backend; pure_ref=True instead
+    reproduces _kernels.relent_pairwise at a pure average, with the
+    infinite divergences of members off it mapped to 1e3."""
+    hs = _kernels.entropy_from_radius(np.linalg.norm(blochs, axis=1))
+
+    def objective(w):
+        r = w @ blochs
+        return _kernels.entropy_of_radius(math.sqrt(r @ r)) - float(w @ hs), r
+
+    def gradient(r):
+        rad = math.sqrt(r @ r)
+        if pure_ref and rad >= _kernels._PURE_EDGE:
+            grad = _kernels.relent_pairwise(blochs, r[None, :])[:, 0]
+            return np.where(np.isfinite(grad), grad, 1e3)
+        log_l = math.log(max(0.5 * (1.0 + rad), 1e-40))
+        log_m = math.log(max(0.5 * (1.0 - rad), 1e-40))
+        cos = blochs @ r / rad if rad > 0.0 else 0.0
+        return -hs - (0.5 * (log_l + log_m) + 0.5 * (log_l - log_m) * cos)
+    return objective, gradient
+
+
+def maximize_chi_weights(outs: np.ndarray, w0: np.ndarray, projector=None,
+                         max_iter: int = 2000, stat_tol: float = 1e-11):
+    """Maximize H(sum_i w_i Y_i) - sum_i w_i H(Y_i) over feasible weights.
+
+    outs: stack (m, d, d) of member outputs.  Qubit outputs (d = 2) run
+    on bloch_backend, larger ones on matrix_backend.  On the bare simplex
+    (projector None) the ascent uses exponentiated-gradient steps (the
+    Blahut-Arimoto multiplicative update with a backtracked step size)
+    and an SLSQP finisher; a custom feasible-set projector switches to
+    Euclidean projected ascent.
+    """
+    backend = bloch_backend(bloch_of_states(outs)) if outs.shape[-1] == 2 \
+        else matrix_backend(outs)
+    w, obj = _ascend(backend, w0, projector, max_iter, stat_tol)
+    if projector is None and len(w) <= 40:
+        w, obj = _slsqp_weight_polish(backend, w, obj)
+    return w, obj
+
+
+def maximize_chi_weights_bloch(blochs: np.ndarray, w0: np.ndarray,
+                               max_iter: int = 1500, stat_tol: float = 1e-11):
+    """Simplex ascent for qubit outputs given as Bloch vectors (m, 3),
+    with the divergences of _kernels.relent_pairwise as the gradient."""
+    return _ascend(bloch_backend(blochs, pure_ref=True), w0, None, max_iter, stat_tol)
+
+
+def _ascend(backend, w0, projector, max_iter: int, stat_tol: float):
+    """Backtracked ascent until the stationarity gap max(grad) - grad.w
+    falls to stat_tol or no step improves the objective."""
+    objective, gradient = backend
+    w = (projector or project_simplex)(np.asarray(w0, dtype=float))
+    obj, avg = objective(w)
+    t = 1.0
+    for _ in range(max_iter):
+        grad = gradient(avg)
         if float(np.max(grad) - grad @ w) <= stat_tol:
             break
-        improved = False
         for _ in range(60):
-            w_new = move(w, grad, t)
+            if projector is None:
+                scaled = w * np.exp(min(t, 60.0) * (grad - np.max(grad)))
+                total = scaled.sum()
+                w_new = scaled / total if total > 0.0 else w
+            else:
+                w_new = projector(w + t * grad)
             obj_new, avg_new = objective(w_new)
             if obj_new > obj + 1e-15:
                 w, obj, avg = w_new, obj_new, avg_new
                 t *= 1.5
-                improved = True
                 break
             t *= 0.5
             if t < 1e-13:
-                break
-        if not improved:
+                return w, obj
+        else:
             break
-
-    if simplex_only and len(w) <= 40:
-        w, obj = _slsqp_weight_polish(outs, hs, w, obj, objective)
     return w, obj
 
 
-def _slsqp_weight_polish(outs, hs, w, obj, objective):
+def _slsqp_weight_polish(backend, w, obj):
     """High-precision finisher for the simplex weight problem."""
-    def neg_chi(x):
-        val, _ = objective(x)
-        return -val
-
-    def neg_grad(x):
-        avg = np.einsum("i,ijk->jk", x, outs)
-        lam, u = np.linalg.eigh(avg)
-        log_avg = (u * np.log(np.maximum(lam, 1e-40))) @ u.conj().T
-        return hs + np.real(np.einsum("ijk,kj->i", outs, log_avg))
-
+    objective, gradient = backend
     res = sciopt.minimize(
-        neg_chi, w, jac=neg_grad, method="SLSQP",
-        bounds=[(0.0, 1.0)] * len(w),
+        lambda x: -objective(x)[0], w, jac=lambda x: -gradient(objective(x)[1]),
+        method="SLSQP", bounds=[(0.0, 1.0)] * len(w),
         constraints=[{"type": "eq", "fun": lambda x: np.sum(x) - 1.0,
                       "jac": lambda x: np.ones_like(x)}],
         options={"maxiter": 300, "ftol": 1e-15})
@@ -168,43 +204,6 @@ def _slsqp_weight_polish(outs, hs, w, obj, objective):
             val, _ = objective(x)
             if val > obj:
                 return x, val
-    return w, obj
-
-
-def maximize_chi_weights_bloch(blochs: np.ndarray, w0: np.ndarray,
-                               max_iter: int = 1500, stat_tol: float = 1e-11):
-    """Same objective for qubit outputs given as Bloch vectors (m, 3)."""
-    hs = _kernels.entropy_from_radius(np.linalg.norm(blochs, axis=1))
-
-    def objective(w):
-        avg = w @ blochs
-        return float(_kernels.entropy_from_radius(
-            np.array([np.linalg.norm(avg)]))[0] - w @ hs), avg
-
-    w = project_simplex(np.asarray(w0, dtype=float))
-    obj, avg = objective(w)
-    t = 1.0
-    for _ in range(max_iter):
-        grad = _kernels.relent_pairwise(blochs, avg[None, :])[:, 0]
-        grad = np.where(np.isfinite(grad), grad, 1e3)
-        if float(np.max(grad) - grad @ w) <= stat_tol:
-            break
-        improved = False
-        for _ in range(60):
-            scaled = w * np.exp(min(t, 60.0) * (grad - np.max(grad)))
-            total = scaled.sum()
-            w_new = scaled / total if total > 0.0 else w
-            obj_new, avg_new = objective(w_new)
-            if obj_new > obj + 1e-15:
-                w, obj, avg = w_new, obj_new, avg_new
-                t *= 1.5
-                improved = True
-                break
-            t *= 0.5
-            if t < 1e-13:
-                break
-        if not improved:
-            break
     return w, obj
 
 

@@ -532,8 +532,10 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
                          resolution: int = 4096) -> tuple[float, float]:
     """Independent grid bracket of the capacity for qubit inputs.
 
-    lower: best chi over ensembles supported on a Bloch-sphere grid of
-    `resolution` points (feasible weights only).  upper: min over a grid
+    lower: chi of the ensemble on a Bloch-sphere grid of `resolution`
+    points (feasible weights only) that a capped weight ascent reaches;
+    for qubit outputs the ascent usually stops at its iteration cap, so
+    this can lie below the best chi on the grid.  upper: min over a grid
     of output reference states of the exhaustive-grid divergence sup.
     The bracket is guaranteed up to the grid modulus.
     """
@@ -557,16 +559,12 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
         a = np.real(np.einsum("gi,ij,gj->g", psis.conj(), hmat, psis))
         proj = lambda v: _optim.project_simplex_halfspace(v, a, constraint.h)
         if out_blochs is not None:
-            hs = _kernels.entropy_from_radius(np.linalg.norm(out_blochs, axis=1))
+            objective, gradient = _optim.bloch_backend(out_blochs, pure_ref=True)
             w = proj(w0)
             lower = -math.inf
             for _ in range(400):
-                avg = w @ out_blochs
-                grad = _kernels.relent_pairwise(out_blochs, avg[None, :])[:, 0]
-                grad = np.where(np.isfinite(grad), grad, 1e3)
-                w_new = proj(w + 0.5 * grad)
-                val = float(_kernels.entropy_from_radius(
-                    np.array([np.linalg.norm(w_new @ out_blochs)]))[0] - w_new @ hs)
+                w_new = proj(w + 0.5 * gradient(w @ out_blochs))
+                val = objective(w_new)[0]
                 if val < lower + 1e-14:
                     break
                 w, lower = w_new, val

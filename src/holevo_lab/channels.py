@@ -380,6 +380,11 @@ def bloch_of_state(rho: np.ndarray) -> np.ndarray:
     return np.array([np.trace(rho @ s).real for s in _PAULIS])
 
 
+def bloch_of_states(rhos: np.ndarray) -> np.ndarray:
+    """Bloch vectors (m, 3) of a stack (m, 2, 2) of qubit states."""
+    return np.real(np.einsum("mij,kji->mk", rhos, np.stack(_PAULIS)))
+
+
 def state_of_bloch(b: np.ndarray) -> np.ndarray:
     out = 0.5 * np.eye(2, dtype=complex)
     for c, s in zip(b, _PAULIS):

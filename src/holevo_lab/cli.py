@@ -9,7 +9,6 @@ emitted only with --timing.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -238,10 +237,7 @@ def cmd_additivity(args) -> int:
 
     if args.format == "csv":
         out = args.out or "additivity.csv"
-        with open(out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=addmod.REPORT_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
+        addmod.write_report_csv(out, rows, include_runtime=args.timing)
         sys.stdout.write(",".join(addmod.REPORT_COLUMNS) + "\n")
         for row in rows:
             sys.stdout.write(",".join(str(row[c]) for c in addmod.REPORT_COLUMNS) + "\n")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import holevo_lab as hl
-from holevo_lab import _optim
+from holevo_lab import _kernels, _optim
 from holevo_lab.capacity import SolverOptions
-from holevo_lab.channels import ClassicalChannelSpec, Channel
+from holevo_lab.channels import ClassicalChannelSpec, Channel, bloch_of_states
 from holevo_lab.opalg import random_density, relative_entropy_raw, trace_norm
 
 LOG2 = math.log(2.0)
@@ -243,6 +243,94 @@ def test_isometry_gradient_matches_finite_differences(rng):
             assert num == pytest.approx(want, abs=1e-5)
 
 
+# --- weight solver backends --------------------------------------------------
+
+def _eigh_reference_backend(outs):
+    """The matrix formulas: entropies by eigvalsh, and the gradient from
+    the eigh log of the average with eigenvalues floored at 1e-40."""
+    hs = np.array([-sum(x * math.log(x) for x in np.linalg.eigvalsh(y) if x > 0.0)
+                   for y in outs])
+
+    def objective(w):
+        avg = np.einsum("i,ijk->jk", w, outs)
+        lam = np.maximum(np.linalg.eigvalsh(avg), 0.0)
+        nz = lam[lam > 0.0]
+        return float(-np.sum(nz * np.log(nz))) - float(w @ hs), avg
+
+    def gradient(avg):
+        lam, u = np.linalg.eigh(avg)
+        log_avg = (u * np.log(np.maximum(lam, 1e-40))) @ u.conj().T
+        return -hs - np.real(np.einsum("ijk,kj->i", outs, log_avg))
+    return objective, gradient
+
+
+def _pure_mat(v):
+    v = np.asarray(v, dtype=complex)
+    return np.outer(v, v.conj()) / np.vdot(v, v).real
+
+
+def _random_qubit_stack(rng, m):
+    mixed = [random_density(rng, 2).mat for _ in range(m - m // 3)]
+    pure = [_pure_mat(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            for _ in range(m // 3)]
+    return np.stack(mixed + pure)
+
+
+def _bloch_backend_of(outs):
+    return _optim.bloch_backend(bloch_of_states(outs))
+
+
+def test_bloch_backend_matches_eigh_reference(rng):
+    for m in (1, 2, 5, 12, 40):
+        outs = _random_qubit_stack(rng, m)
+        ref_obj, ref_grad = _eigh_reference_backend(outs)
+        obj, grad = _bloch_backend_of(outs)
+        for _ in range(5):
+            w = rng.dirichlet(np.full(m, 0.5))
+            want, avg = ref_obj(w)
+            got, r = obj(w)
+            assert got == pytest.approx(want, abs=1e-12)
+            assert np.max(np.abs(grad(r) - ref_grad(avg))) <= 1e-12
+
+
+def test_bloch_backend_pure_average_uses_eigenvalue_floor():
+    # average |0><0|: |1><1| leaves its support and feels -log(1e-40)
+    outs = np.stack([_pure_mat([1, 0]), _pure_mat([0, 1]), np.eye(2) / 2,
+                     _pure_mat([1, 1])])
+    w = np.array([1.0, 0.0, 0.0, 0.0])
+    ref_obj, ref_grad = _eigh_reference_backend(outs)
+    obj, grad = _bloch_backend_of(outs)
+    want, avg = ref_obj(w)
+    got, r = obj(w)
+    assert got == pytest.approx(want, abs=1e-12)
+    g = grad(r)
+    assert np.max(np.abs(g - ref_grad(avg))) <= 1e-12
+    assert g[1] == pytest.approx(-math.log(1e-40), abs=1e-12)
+
+
+def test_bloch_backend_pure_reference_matches_kernel(rng):
+    # the oracle's gradient: relent_pairwise to the average, +inf as 1e3
+    z = np.array([0.0, 0.0, 1.0])
+    blochs = np.vstack([z, -z, 0.5 * z, rng.uniform(-0.5, 0.5, (4, 3))])
+    _, grad = _optim.bloch_backend(blochs, pure_ref=True)
+    for r in (z, 0.3 * z + 0.2, np.zeros(3)):
+        want = _kernels.relent_pairwise(blochs, r[None, :])[:, 0]
+        assert np.max(np.abs(grad(r) - np.where(np.isfinite(want), want, 1e3))) <= 1e-14
+    assert grad(z)[0] == 0.0 and grad(z)[1] == 1e3
+
+
+def test_maximize_chi_weights_matches_eigh_reference(rng):
+    for m in (3, 8, 20):
+        outs = _random_qubit_stack(rng, m)
+        w0 = np.full(m, 1.0 / m)
+        backend = _eigh_reference_backend(outs)
+        w_ref, want = _optim._ascend(backend, w0, None, 2000, 1e-11)
+        w_ref, want = _optim._slsqp_weight_polish(backend, w_ref, want)
+        w, got = _optim.maximize_chi_weights(outs, w0)
+        assert got == pytest.approx(want, abs=1e-10)
+        assert got == pytest.approx(backend[0](w)[0], abs=1e-12)
+
+
 # --- brute force oracle ------------------------------------------------------
 
 def test_brute_force_noiseless_bracket():
@@ -284,6 +372,25 @@ def test_brute_force_singleton():
                                      resolution=4096)
     want = LOG2 - h2(0.25)
     assert lo <= want + 1e-6 and up >= want - 1e-4
+
+
+# brackets of brute_force_capacity(ch, resolution=16384) for the first three
+# channels of test_criterion_4, recorded before the oracle's weight ascent
+# moved to the Bloch backend
+ORACLE_BRACKETS_2024 = (
+    (0.6931471805599402, 0.6931471805599453),
+    (0.3838956628775717, 0.3843738359674054),
+    (0.6554551355465258, 0.6560055403749983),
+)
+
+
+def test_brute_force_brackets_regression():
+    rng = np.random.default_rng(2024)
+    for want_lo, want_up in ORACLE_BRACKETS_2024:
+        ch = hl.random_channel(rng, 2, 2, int(rng.integers(1, 4)))
+        lo, up = hl.brute_force_capacity(ch, resolution=16384)
+        assert lo == pytest.approx(want_lo, abs=1e-12)
+        assert up == pytest.approx(want_up, abs=1e-12)
 
 
 # --- optimal output state ----------------------------------------------------
