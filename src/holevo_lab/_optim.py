@@ -14,7 +14,7 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from . import _kernels
-from .channels import Channel, bloch_map, bloch_of_state, bloch_of_states
+from .channels import _PAULIS, Channel, bloch_map, bloch_of_state, bloch_of_states
 from .opalg import entropy_batch, entropy_raw, logm_psd
 
 LOG_FLOOR = 1e-300
@@ -378,34 +378,92 @@ def _decomposition_from_isometry(e, sq, v):
     return e @ (sq[:, None] * v.conj().T)
 
 
-def _hhat_objective(channel: Channel, wv: np.ndarray):
-    """sum_i [pi_i H(Y_i/pi_i)] for unnormalized member vectors (columns)."""
-    ys = batch_outputs_pure(channel, wv.T)
-    pis = np.maximum(np.real(np.einsum("ji,ji->i", wv.conj(), wv)), LOG_FLOOR)
-    lam = np.maximum(np.linalg.eigvalsh(ys), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(lam > 0.0, lam * np.log(np.maximum(lam, LOG_FLOOR)), 0.0)
-    total = float(-np.sum(terms) + pis @ np.log(pis))
-    return total, ys
+# One Stiefel descent runs on an output backend: a pair objective(wv) ->
+# (sum_i pi_i H(Y_i/pi_i), cache) and gradient(wv, cache) -> dF/dwbar, the
+# Wirtinger gradient with respect to the member vectors (columns of wv).
+
+def hhat_matrix_backend(channel: Channel):
+    """Backend on the member output matrices (batched eigensolvers and a
+    Kraus loop), for any input and output dimensions."""
+    def objective(wv):
+        ys = batch_outputs_pure(channel, wv.T)
+        pis = np.maximum(np.real(np.einsum("ji,ji->i", wv.conj(), wv)), LOG_FLOOR)
+        lam = np.maximum(np.linalg.eigvalsh(ys), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(lam > 0.0, lam * np.log(np.maximum(lam, LOG_FLOOR)), 0.0)
+        total = float(-np.sum(terms) + pis @ np.log(pis))
+        return total, ys
+
+    def gradient(wv, ys):
+        lam, us = np.linalg.eigh(ys)
+        log_lam = np.log(np.maximum(lam, LOG_FLOOR))
+        log_y = np.einsum("ipq,iq,irq->ipr", us, log_lam, us.conj())
+        acc = np.zeros_like(wv)
+        for k in channel.kraus:
+            kw = k @ wv  # (d_out, m)
+            tmp = np.einsum("ipq,qi->pi", log_y, kw)
+            acc += k.conj().T @ tmp
+        pis = np.maximum(np.real(np.einsum("ji,ji->i", wv.conj(), wv)), LOG_FLOOR)
+        return -acc + wv * np.log(pis)[None, :]
+    return objective, gradient
 
 
-def _hhat_gradient(channel: Channel, wv: np.ndarray, ys, e, sq):
-    """Euclidean Wirtinger gradient of the objective w.r.t. the isometry."""
-    lam, us = np.linalg.eigh(ys)
-    log_lam = np.log(np.maximum(lam, LOG_FLOOR))
-    log_y = np.einsum("ipq,iq,irq->ipr", us, log_lam, us.conj())
-    acc = np.zeros_like(wv)
-    for k in channel.kraus:
-        kw = k @ wv  # (d_out, m)
-        tmp = np.einsum("ipq,qi->pi", log_y, kw)
-        acc += k.conj().T @ tmp
-    pis = np.maximum(np.real(np.einsum("ji,ji->i", wv.conj(), wv)), LOG_FLOOR)
-    gw = -acc + wv * np.log(pis)[None, :]
-    # objective here is MINIMIZED; wv = E diag(sq) V^dag, so dF/dVbar:
-    return (gw.conj().T @ (e * sq[None, :]))  # (m, r)
+_HALF_PLUS_MINUS = np.array([[0.5], [-0.5]])
+
+
+def hhat_bloch_backend(channel: Channel):
+    """Backend for qubit -> qubit channels, free of eigensolvers and of the
+    Kraus loop.  With A = (I, Phi*(I), Phi*(sigma)) built once, member w
+    has weight pi = w^dag w, output trace tau = w^dag Phi*(I) w and output
+    Bloch vector q_k = w^dag Phi*(sigma_k) w (which is T p + pi t for
+    (T, t) = bloch_map(channel) and p the Bloch vector of w w^dag).  The
+    output (tau I + q.sigma)/2 has eigenvalues (tau +- |q|)/2, floored as
+    in hhat_matrix_backend, and log alpha I + beta qhat.sigma, so
+    Phi*(log Y) w = alpha Phi*(I) w + beta sum_k qhat_k Phi*(sigma_k) w.
+
+    Members enter as real columns x = (Re w, Im w): the real form
+    R(A) = [[Re A, -Im A], [Im A, Re A]] maps x to (Re Aw, Im Aw), and
+    x^T R(A) x = w^dag A w for Hermitian A."""
+    ops = [np.eye(2)] + [channel.adjoint_raw(s) for s in (np.eye(2), *_PAULIS)]
+    real_ops = np.concatenate([np.block([[a.real, -a.imag], [a.imag, a.real]])
+                               for a in ops])  # (20, 4)
+
+    def objective(wv):
+        x = np.concatenate((wv.real, wv.imag))
+        ax = (real_ops @ x).reshape(5, 4, -1)
+        pq = np.einsum("kji,ji->ki", ax, x)  # rows pi, tau, q
+        rad = np.hypot(np.hypot(pq[2], pq[3]), pq[4])
+        lam = np.maximum(0.5 * pq[1] + _HALF_PLUS_MINUS * rad, 0.0)
+        log_lam = np.log(np.maximum(lam, LOG_FLOOR))
+        pis = np.maximum(pq[0], LOG_FLOOR)
+        log_pis = np.log(pis)
+        total = float(pis @ log_pis - np.vdot(lam, log_lam))
+        return total, (ax, pq[2:], rad, log_lam, log_pis)
+
+    def gradient(wv, cache):
+        ax, q, rad, log_lam, log_pis = cache
+        alpha = 0.5 * (log_lam[0] + log_lam[1])
+        # beta / |q|; the log difference is 0 when |q| = 0
+        beta_hat = 0.5 * (log_lam[0] - log_lam[1]) / np.maximum(rad, LOG_FLOOR)
+        acc = alpha * ax[1] + beta_hat * np.einsum("ki,kji->ji", q, ax[2:])
+        return wv * log_pis - (acc[:2] + 1j * acc[2:])
+    return objective, gradient
 
 
 def _stiefel_retract(v: np.ndarray) -> np.ndarray:
+    """Q factor of v with the diagonal of R made positive (unique, so any
+    QR gives it).  Two columns go by Gram-Schmidt from the 2x2 Gram
+    matrix; other shapes, and a second column within about 6 degrees of
+    the first, where that loses digits, by LAPACK QR."""
+    if v.shape[1] == 2:
+        (g00, g01), (_, g11) = (v.conj().T @ v).tolist()
+        if g00.real > 0.0:
+            r11 = math.sqrt(g00.real)
+            r12 = g01 / r11
+            r22_sq = g11.real - (r12.real * r12.real + r12.imag * r12.imag)
+            if r22_sq > 1e-2 * g11.real:
+                r22 = math.sqrt(r22_sq)
+                return v @ np.array([[1.0 / r11, -r12 / (r11 * r22)], [0.0, 1.0 / r22]])
     q, r = np.linalg.qr(v)
     return q * np.sign(np.real(np.diagonal(r)) + 1e-300)[None, :]
 
@@ -429,6 +487,8 @@ def hhat_isometry_search(channel: Channel, rho: np.ndarray,
     """Minimize sum pi_i H(Phi(rho_i)) over rank-m pure decompositions of
     rho via projected gradient on the Stiefel manifold of isometries.
 
+    The descent runs on hhat_bloch_backend for qubit -> qubit channels
+    (closed-form, no eigensolver) and on hhat_matrix_backend otherwise.
     Returns (value, weights, member matrices).
     """
     e, sq = _spectral_factors(rho)
@@ -443,15 +503,19 @@ def hhat_isometry_search(channel: Channel, rho: np.ndarray,
     while len(inits) < starts + len(warm_starts):
         z = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
         inits.append(_stiefel_retract(z))
+    qubit = channel.d_in == channel.d_out == 2
+    objective, gradient = (hhat_bloch_backend if qubit else hhat_matrix_backend)(channel)
+    esq = e * sq[None, :]
     best = (math.inf, None)
     for v in inits:
         if v.shape != (m, r):
             continue
         wv = _decomposition_from_isometry(e, sq, v)
-        val, ys = _hhat_objective(channel, wv)
+        val, cache = objective(wv)
         step = 0.5
         for _ in range(iters):
-            g = _hhat_gradient(channel, wv, ys, e, sq)
+            # objective is MINIMIZED; wv = E diag(sq) V^dag, so dF/dVbar:
+            g = gradient(wv, cache).conj().T @ esq  # (m, r)
             sym = v.conj().T @ g
             rg = g - v @ (0.5 * (sym + sym.conj().T))
             gnorm = float(np.linalg.norm(rg))
@@ -461,9 +525,9 @@ def hhat_isometry_search(channel: Channel, rho: np.ndarray,
             for _ in range(30):
                 v_new = _stiefel_retract(v - step * rg)
                 wv_new = _decomposition_from_isometry(e, sq, v_new)
-                val_new, ys_new = _hhat_objective(channel, wv_new)
+                val_new, cache_new = objective(wv_new)
                 if val_new < val - 1e-14:
-                    v, wv, val, ys = v_new, wv_new, val_new, ys_new
+                    v, wv, val, cache = v_new, wv_new, val_new, cache_new
                     step *= 1.4
                     moved = True
                     break
@@ -530,7 +594,9 @@ def hhat_qubit(channel: Channel, rho: np.ndarray, grid: int = 512):
 def hhat_search(channel: Channel, rho: np.ndarray, rng: np.random.Generator,
                 starts: int = 8, grid: int = 512, m: int | None = None):
     """Dispatch: for qubit inputs a grid LP locates the hull structure
-    and warm-starts the isometry descent; isometry search otherwise."""
+    and warm-starts the isometry descent; isometry search otherwise.  The
+    descent uses the Bloch backend for qubit -> qubit channels and the
+    matrix backend for all others (see hhat_isometry_search)."""
     if channel.d_in == 2:
         val, w, mats = hhat_qubit(channel, rho, grid=grid)
         members = np.column_stack([

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: capacity, chi, hhat, additivity, discontinuity, verify.
-Exit codes: 0 success, 1 config error, 2 non-convergence / failed suite.
+Exit codes: 0 success, 1 config error, 2 non-convergence / numerical
+error / failed suite.
 Output is byte-stable for a fixed seed and config; wall-clock fields are
 emitted only with --timing.
 """
@@ -387,6 +388,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        # LinAlgError subclasses ValueError, so it is caught first
+        sys.stderr.write(f"numerical error: {exc}\n")
+        return 2
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1

@@ -18,7 +18,6 @@ from .opalg import (
     DimensionMismatch,
     ExtendedReal,
     InvalidOperand,
-    entropy_raw,
     pinv_sqrtm_psd,
     relative_entropy_raw,
     sqrtm_psd,
@@ -100,15 +99,6 @@ def chi_quantity(channel: Channel, ensemble: Ensemble) -> ExtendedReal:
             return ExtendedReal.infinite()
         total += w * term
     return ExtendedReal.finite(total)
-
-
-def chi_quantity_entropy_form(channel: Channel, ensemble: Ensemble) -> float:
-    """Cross-check path H(Phi(rho_bar)) - sum pi_i H(Phi(rho_i)) (finite dims)."""
-    avg_out = channel.apply_raw(average_state(ensemble).mat)
-    val = entropy_raw(avg_out)
-    for w, rho in ensemble.items:
-        val -= w * entropy_raw(channel.apply_raw(rho.mat))
-    return val
 
 
 def donald_check(ensemble: Ensemble, rho_hat: DensityOperator) -> tuple[ExtendedReal, ExtendedReal]:

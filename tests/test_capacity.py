@@ -216,9 +216,15 @@ def test_chi_function_matches_singleton_capacity(rng):
     assert solver.heuristic_upper
 
 
-def test_isometry_gradient_matches_finite_differences(rng):
-    # Wirtinger gradient of the decomposition objective
+HHAT_BACKENDS = {"matrix": _optim.hhat_matrix_backend, "bloch": _optim.hhat_bloch_backend}
+
+
+@pytest.mark.parametrize("backend", sorted(HHAT_BACKENDS))
+def test_isometry_gradient_matches_finite_differences(rng, backend):
+    # Wirtinger gradient of the decomposition objective, through the
+    # descent's chain rule dF/dVbar = (dF/dwbar)^dag E diag(sq)
     ch = hl.random_channel(rng, 2, 2, 2)
+    objective, gradient = HHAT_BACKENDS[backend](ch)
     rho = random_density(rng, 2).mat
     e, sq = _optim._spectral_factors(rho)
     m, r = 3, e.shape[1]
@@ -227,11 +233,11 @@ def test_isometry_gradient_matches_finite_differences(rng):
 
     def f_of(vmat):
         wv = _optim._decomposition_from_isometry(e, sq, vmat)
-        return _optim._hhat_objective(ch, wv)[0]
+        return objective(wv)[0]
 
     wv = _optim._decomposition_from_isometry(e, sq, v)
-    val, ys = _optim._hhat_objective(ch, wv)
-    grad = _optim._hhat_gradient(ch, wv, ys, e, sq)
+    val, cache = objective(wv)
+    grad = gradient(wv, cache).conj().T @ (e * sq[None, :])
     eps = 1e-7
     for (i, j) in [(0, 0), (1, 1), (2, 0)]:
         for direction in (1.0, 1j):
@@ -241,6 +247,104 @@ def test_isometry_gradient_matches_finite_differences(rng):
             # df = 2 Re <dV, grad>
             want = 2 * np.real(np.conj(direction) * grad[i, j])
             assert num == pytest.approx(want, abs=1e-5)
+
+
+def _random_members(rng, m):
+    """Members of a random pure decomposition of a random qubit state,
+    the descent's own inputs: columns of E diag(sq) V^dag."""
+    e, sq = _optim._spectral_factors(random_density(rng, 2).mat)
+    z = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+    return _optim._decomposition_from_isometry(e, sq, _optim._stiefel_retract(z))
+
+
+@pytest.mark.parametrize("kraus_rank", [1, 2, 3])
+def test_hhat_bloch_backend_matches_matrix_backend(rng, kraus_rank):
+    # for Kraus rank 1 the outputs are pure, and the floored log of their
+    # zero eigenvalue times rounding noise is the largest term here
+    for _ in range(4):
+        ch = hl.random_channel(rng, 2, 2, kraus_rank)
+        m_obj, m_grad = _optim.hhat_matrix_backend(ch)
+        b_obj, b_grad = _optim.hhat_bloch_backend(ch)
+        for m in (2, 4, 7):
+            wv = _random_members(rng, m)
+            if m == 7:
+                wv[:, 3] = 0.0  # a member of weight zero
+            want, ys = m_obj(wv)
+            got, cache = b_obj(wv)
+            assert got == pytest.approx(want, abs=1e-12)
+            assert np.max(np.abs(b_grad(wv, cache) - m_grad(wv, ys))) <= 1e-12
+
+
+def test_hhat_descent_on_qubit_channels_builds_no_output_matrices(rng, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("output matrices built")
+    monkeypatch.setattr(_optim, "batch_outputs_pure", forbidden)
+    rho = random_density(rng, 2).mat
+    val = _optim.hhat_isometry_search(hl.random_channel(rng, 2, 2, 2), rho, rng, starts=2)[0]
+    assert 0.0 <= val <= LOG2
+    with pytest.raises(AssertionError, match="output matrices built"):
+        _optim.hhat_isometry_search(hl.random_channel(rng, 2, 3, 2), rho, rng, starts=2)
+
+
+def _qr_reference(v):
+    q, r = np.linalg.qr(v)
+    return q * np.sign(np.real(np.diagonal(r)))[None, :]
+
+
+def test_stiefel_retract_matches_qr(rng):
+    for _ in range(200):
+        z = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        q = _optim._stiefel_retract(z)
+        assert np.max(np.abs(q.conj().T @ q - np.eye(2))) <= 1e-14
+        assert np.max(np.abs(q - _qr_reference(z))) <= 1e-12
+
+
+def test_stiefel_retract_nearly_rank_deficient(rng):
+    # second column = first + noise: Gram-Schmidt from the Gram matrix
+    # would lose about 2 log10(1/noise) digits of orthogonality
+    for noise in (1e-13, 1e-8, 1e-4):
+        for _ in range(10):
+            z = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+            z[:, 1] = z[:, 0] + noise * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            q = _optim._stiefel_retract(z)
+            assert np.all(np.isfinite(q))
+            assert np.max(np.abs(q.conj().T @ q - np.eye(2))) <= 1e-14
+
+
+# chi_function(composed, rho), (phi, rho), (psi, phi(rho)) with verify.CHI_OPTS
+# on suite_chain-style cases from default_rng(20261018), recorded with the
+# eigensolver descent and LAPACK QR retraction that preceded the backends
+CHI_CHAIN_20261018 = (
+    (0.005954773979808647, 0.03310073011504633, 0.1085792302822568),
+    (0.18255468266377406, 0.18255468266377362, 0.5316560547180353),
+    (0.18684204442260555, 0.3542401286935387, 0.1868420444226061),
+    (0.05384857972945131, 0.2702107360794996, 0.0538485797294517),
+    (0.04990482003374436, 0.12101226695556239, 0.06801833460443046),
+    (0.10568867863472825, 0.2856753626702492, 0.1056886786347262),
+    (0.016428168219472794, 0.026472337700182313, 0.3638715461748184),
+    (0.608122020415714, 0.6081220204157155, 0.6081220204157174),
+    (0.1126526881152814, 0.24380264866189416, 0.15548048186301155),
+    (0.008497966245857524, 0.13407183504555586, 0.3076446089075804),
+    (0.3857313083140519, 0.49455675983273606, 0.38573130831405145),
+    (0.004200776073145063, 0.013701381144278879, 0.4929909642533561),
+)
+SUITE_CHAIN_50_MAX_RESIDUAL = 4.8433479449272454e-15
+
+
+def test_chi_function_chain_regression():
+    from holevo_lab import verify
+    rng = np.random.default_rng(20261018)
+    for want in CHI_CHAIN_20261018:
+        phi = hl.random_channel(rng, 2, 2, int(rng.integers(1, 4)))
+        psi = hl.random_channel(rng, 2, 2, int(rng.integers(1, 4)))
+        rho = random_density(rng, 2)
+        mid = hl.DensityOperator(phi.apply_raw(rho.mat))
+        got = (hl.chi_function(hl.compose(psi, phi), rho, verify.CHI_OPTS),
+               hl.chi_function(phi, rho, verify.CHI_OPTS),
+               hl.chi_function(psi, mid, verify.CHI_OPTS))
+        assert got == pytest.approx(want, abs=1e-12)
+    res = verify.suite_chain(cases=50)
+    assert res.max_residual == pytest.approx(SUITE_CHAIN_50_MAX_RESIDUAL, abs=1e-12)
 
 
 # --- weight solver backends --------------------------------------------------

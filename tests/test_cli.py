@@ -144,6 +144,20 @@ def test_exit_code_non_convergence(capsys):
     assert data["gap"] > 1e-13
 
 
+@pytest.mark.parametrize("exc", [np.linalg.LinAlgError("eigh did not converge"),
+                                 RuntimeError("decomposition LP failed")])
+def test_exit_code_numerical_error(monkeypatch, capsys, exc):
+    # a numerical failure inside a solver is not a config error
+    import holevo_lab.cli as cli
+
+    def failing(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "chi_capacity", failing)
+    assert main(["capacity", "--channel", '{"kind":"noiseless","d":2}']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and str(exc) in err
+
+
 def test_verify_command(capsys):
     code, out = run_cli(["verify", "donald", "--cases", "25"], capsys)
     assert code == 0

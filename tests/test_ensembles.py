@@ -6,12 +6,11 @@ import pytest
 
 import holevo_lab as hl
 from holevo_lab.ensembles import (
-    chi_quantity_entropy_form,
     ensemble_from_dict,
     ensemble_to_dict,
     random_ensemble,
 )
-from holevo_lab.opalg import random_density, trace_norm
+from holevo_lab.opalg import entropy_raw, random_density, trace_norm
 
 LOG2 = math.log(2.0)
 
@@ -54,6 +53,15 @@ def test_chi_quantity_trivial_cases():
         == pytest.approx(0.0, abs=1e-12)
     assert float(hl.chi_quantity(hl.noiseless(2), two_state())) \
         == pytest.approx(LOG2, abs=1e-12)
+
+
+def chi_quantity_entropy_form(channel, ensemble):
+    """Cross-check path H(Phi(rho_bar)) - sum pi_i H(Phi(rho_i)) (finite dims)."""
+    avg_out = channel.apply_raw(hl.average_state(ensemble).mat)
+    val = entropy_raw(avg_out)
+    for w, rho in ensemble.items:
+        val -= w * entropy_raw(channel.apply_raw(rho.mat))
+    return val
 
 
 def test_chi_quantity_entropy_identity(rng):
