@@ -9,6 +9,7 @@ numpy Generator.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize as sciopt
@@ -84,9 +85,27 @@ def dykstra(v: np.ndarray, projectors, iters: int = 500, tol: float = 1e-9) -> n
 # ---------------------------------------------------------------------------
 # chi over ensemble weights (concave maximization on a convex weight set)
 #
-# One ascent loop runs on an output backend: a pair objective(w) ->
-# (chi, average output) and gradient(average) -> member divergences to the
-# average, which is the gradient of chi in the weights.
+# The solvers run on an output backend: a triple objective(w) -> (chi,
+# average output), gradient(average) -> member divergences to the average
+# (the gradient of chi in the weights, up to a constant), and
+# hessian(average, idx) -> the Hessian of chi in the weights of the
+# members idx.
+
+class WeightSolve(NamedTuple):
+    """Weights, chi at them, the Frank-Wolfe gap max_i g_i - g.w there
+    (g the member divergences to the average output; on the bare simplex
+    the gap bounds how far chi lies below its maximum over the members,
+    on a smaller feasible set it is only the ascent's stationarity
+    measure), and the stop reason: converged, stalled or max_iter."""
+    w: np.ndarray
+    chi: float
+    gap: float
+    stop: str
+
+
+def _frank_wolfe_gap(grad: np.ndarray, w: np.ndarray) -> float:
+    return float(np.max(grad) - grad @ w)
+
 
 def matrix_backend(outs: np.ndarray):
     """Backend for a stack (m, d, d) of member output matrices."""
@@ -102,7 +121,20 @@ def matrix_backend(outs: np.ndarray):
         lam, u = np.linalg.eigh(avg)
         log_avg = (u * np.log(np.maximum(lam, 1e-40))) @ u.conj().T
         return -hs - np.real(np.einsum("ijk,kj->i", outs, log_avg))
-    return objective, gradient
+
+    def hessian(avg, idx):
+        # -Tr Y_i Dlog(avg)[Y_j]: divided differences of the floored log
+        # in the eigenbasis of the average
+        lam, u = np.linalg.eigh(avg)
+        lam = np.maximum(lam, 1e-40)
+        log_lam = np.log(lam)
+        diff = lam[:, None] - lam[None, :]
+        near = np.abs(diff) <= 1e-6 * (lam[:, None] + lam[None, :])
+        dd = np.where(near, 2.0 / (lam[:, None] + lam[None, :]),
+                      (log_lam[:, None] - log_lam[None, :]) / np.where(near, 1.0, diff))
+        yt = np.einsum("ba,ibc,cd->iad", u.conj(), outs[idx], u)
+        return -np.real(np.einsum("iab,ab,jab->ij", yt.conj(), dd, yt))
+    return objective, gradient, hessian
 
 
 def bloch_backend(blochs: np.ndarray, pure_ref: bool = False):
@@ -111,62 +143,99 @@ def bloch_backend(blochs: np.ndarray, pure_ref: bool = False):
     state is alpha I + beta (r/|r|).sigma.  The eigenvalues (1 +- |r|)/2
     are floored at 1e-40 as in matrix_backend; pure_ref=True instead
     reproduces _kernels.relent_pairwise at a pure average, with the
-    infinite divergences of members off it mapped to 1e3."""
+    infinite divergences of members off it mapped to 1e3.
+
+    chi = h(|r|) - w.hs with h'(x) = -atanh(x) and h''(x) = -1/(1-x^2),
+    so the Hessian is -B_idx M B_idx^T with
+    M = rhat rhat^T / (1-|r|^2) + atanh(|r|)/|r| (I - rhat rhat^T)."""
     hs = _kernels.entropy_from_radius(np.linalg.norm(blochs, axis=1))
 
     def objective(w):
         r = w @ blochs
         return _kernels.entropy_of_radius(math.sqrt(r @ r)) - float(w @ hs), r
 
+    def eigenvalues(rad):
+        return max(0.5 * (1.0 + rad), 1e-40), max(0.5 * (1.0 - rad), 1e-40)
+
     def gradient(r):
         rad = math.sqrt(r @ r)
         if pure_ref and rad >= _kernels._PURE_EDGE:
-            grad = _kernels.relent_pairwise(blochs, r[None, :])[:, 0]
+            grad = _kernels.relent_to_ref(blochs, r, hs)
             return np.where(np.isfinite(grad), grad, 1e3)
-        log_l = math.log(max(0.5 * (1.0 + rad), 1e-40))
-        log_m = math.log(max(0.5 * (1.0 - rad), 1e-40))
+        log_l, log_m = (math.log(x) for x in eigenvalues(rad))
         cos = blochs @ r / rad if rad > 0.0 else 0.0
         return -hs - (0.5 * (log_l + log_m) + 0.5 * (log_l - log_m) * cos)
-    return objective, gradient
+
+    def hessian(r, idx):
+        b = blochs[idx]
+        rad = math.sqrt(r @ r)
+        if rad < 1e-8:
+            # M -> I as |r| -> 0, with error O(|r|^2)
+            return -(b @ b.T)
+        lam, mu = eigenvalues(rad)
+        along = b @ (r / rad)
+        # atanh|r| = log(l/m)/2 and 1 - |r|^2 = 4 l m, with the floored l, m
+        return -(0.5 * math.log(lam / mu) / rad * (b @ b.T - np.outer(along, along))
+                 + np.outer(along, along) / (4.0 * lam * mu))
+    return objective, gradient, hessian
+
+
+def weight_backend(outs: np.ndarray):
+    """bloch_backend for qubit outputs (d = 2), matrix_backend otherwise."""
+    return bloch_backend(bloch_of_states(outs)) if outs.shape[-1] == 2 \
+        else matrix_backend(outs)
 
 
 def maximize_chi_weights(outs: np.ndarray, w0: np.ndarray, projector=None,
-                         max_iter: int = 2000, stat_tol: float = 1e-11):
+                         max_iter: int = 2000, stat_tol: float = 1e-11) -> WeightSolve:
     """Maximize H(sum_i w_i Y_i) - sum_i w_i H(Y_i) over feasible weights.
 
-    outs: stack (m, d, d) of member outputs.  Qubit outputs (d = 2) run
-    on bloch_backend, larger ones on matrix_backend.  On the bare simplex
-    (projector None) the ascent uses exponentiated-gradient steps (the
-    Blahut-Arimoto multiplicative update with a backtracked step size)
-    and an SLSQP finisher; a custom feasible-set projector switches to
-    Euclidean projected ascent.
+    outs: stack (m, d, d) of member outputs, on weight_backend.  On the
+    bare simplex (projector None) an active-set Newton solve runs until
+    the Frank-Wolfe gap is at most stat_tol; a custom feasible-set
+    projector switches to Euclidean projected ascent, capped at max_iter
+    steps.
     """
-    backend = bloch_backend(bloch_of_states(outs)) if outs.shape[-1] == 2 \
-        else matrix_backend(outs)
-    w, obj = _ascend(backend, w0, projector, max_iter, stat_tol)
-    if projector is None and len(w) <= 40:
-        w, obj = _slsqp_weight_polish(backend, w, obj)
-    return w, obj
+    backend = weight_backend(outs)
+    if projector is None:
+        return _active_set_solve(backend, w0, max_iter, stat_tol)
+    return _ascend(backend, w0, projector, max_iter, stat_tol)
+
+
+def ascend_chi_weights(outs: np.ndarray, w0: np.ndarray, max_iter: int,
+                       stat_tol: float = 1e-11) -> WeightSolve:
+    """Capped exponentiated-gradient ascent on the bare simplex, for
+    callers that only rank states by weight."""
+    return _ascend(weight_backend(outs), w0, None, max_iter, stat_tol)
 
 
 def maximize_chi_weights_bloch(blochs: np.ndarray, w0: np.ndarray,
-                               max_iter: int = 1500, stat_tol: float = 1e-11):
-    """Simplex ascent for qubit outputs given as Bloch vectors (m, 3),
-    with the divergences of _kernels.relent_pairwise as the gradient."""
-    return _ascend(bloch_backend(blochs, pure_ref=True), w0, None, max_iter, stat_tol)
+                               max_iter: int = 1000, stat_tol: float = 1e-10,
+                               batch: int = 8) -> WeightSolve:
+    """Column generation for qubit outputs given as Bloch vectors (m, 3),
+    with the divergences of _kernels.relent_pairwise as the gradient.
+    Starts from the member of largest divergence to the average of w0;
+    each Newton step runs on the live members plus the `batch` members
+    of largest gradient, and the Frank-Wolfe gap is taken over all m."""
+    backend = bloch_backend(blochs, pure_ref=True)
+    _, avg = backend[0](np.asarray(w0, dtype=float))
+    start = np.zeros(len(blochs))
+    start[int(np.argmax(backend[1](avg)))] = 1.0
+    return _active_set_solve(backend, start, max_iter, stat_tol, batch)
 
 
-def _ascend(backend, w0, projector, max_iter: int, stat_tol: float):
+def _ascend(backend, w0, projector, max_iter: int, stat_tol: float) -> WeightSolve:
     """Backtracked ascent until the stationarity gap max(grad) - grad.w
     falls to stat_tol or no step improves the objective."""
-    objective, gradient = backend
+    objective, gradient = backend[:2]
     w = (projector or project_simplex)(np.asarray(w0, dtype=float))
     obj, avg = objective(w)
     t = 1.0
     for _ in range(max_iter):
         grad = gradient(avg)
-        if float(np.max(grad) - grad @ w) <= stat_tol:
-            break
+        gap = _frank_wolfe_gap(grad, w)
+        if gap <= stat_tol:
+            return WeightSolve(w, obj, gap, "converged")
         for _ in range(60):
             if projector is None:
                 scaled = w * np.exp(min(t, 60.0) * (grad - np.max(grad)))
@@ -181,30 +250,136 @@ def _ascend(backend, w0, projector, max_iter: int, stat_tol: float):
                 break
             t *= 0.5
             if t < 1e-13:
-                return w, obj
+                return WeightSolve(w, obj, gap, "stalled")
         else:
+            return WeightSolve(w, obj, gap, "stalled")
+    return WeightSolve(w, obj, _frank_wolfe_gap(gradient(avg), w), "max_iter")
+
+
+def _tangent_basis(k: int) -> np.ndarray:
+    """Orthonormal basis (k, k-1) of {d : sum d = 0}: the last k-1
+    columns of the Householder reflection that maps e_1 to 1/sqrt(k)."""
+    u = np.full(k, 1.0 / math.sqrt(k))
+    u[0] -= 1.0
+    return np.eye(k)[:, 1:] - np.outer(u, u[1:]) * (2.0 / (u @ u))
+
+
+def _newton_step(grad, hess, w, work):
+    """Newton step d on the members `work`: the maximizer of the model
+    g.d + d^T (H - mu I) d / 2 over w + d in the simplex, by a primal
+    active-set method for convex QP (Nocedal & Wright, Algorithm 16.3).
+    The Hessian has rank at most d_out^2 - 1, and mu > 0 keeps the model
+    strictly concave: along the near-null space of H the model is almost
+    linear, and the step runs to a vertex as in the simplex method."""
+    p = -hess(work)
+    p[np.diag_indices_from(p)] += 1e-10 * float(np.max(np.diag(p))) + 1e-14
+    g = grad[work]
+    x0 = w[work]
+    x = x0.copy()
+    free = x > 0.0
+    tol = 1e-15 * (1.0 + float(np.max(np.abs(g))))
+    for _ in range(2 * work.size + 20):
+        f = np.flatnonzero(free)
+        q = p @ (x - x0) - g  # gradient of the minimized model
+        if f.size > 1:
+            # solve on sum s = 0 through an orthonormal basis z of it: the
+            # (near-)null vectors of H are not in that subspace unless the
+            # members' outputs are affinely dependent
+            z = _tangent_basis(f.size)
+            try:
+                s = z @ np.linalg.solve(z.T @ p[np.ix_(f, f)] @ z, -(z.T @ q[f]))
+            except np.linalg.LinAlgError:
+                return None
+            neg = s < 0.0
+            ratios = np.where(neg, x[f] / np.where(neg, -s, 1.0), math.inf)
+            block = int(np.argmin(ratios))
+            if ratios[block] < 1.0:
+                x[f] += ratios[block] * s
+                x[f[block]] = 0.0
+                free[f[block]] = False
+                continue
+            x[f] += s
+            q = p @ (x - x0) - g
+        # optimal on the face: release the bound of most negative multiplier
+        fixed = np.flatnonzero(~free)
+        if fixed.size == 0:
             break
-    return w, obj
+        lam = q[fixed] - float(np.mean(q[f]))
+        i = int(np.argmin(lam))
+        if lam[i] >= -tol:
+            break
+        free[fixed[i]] = True
+    x = np.maximum(x, 0.0)
+    return x - x0
 
 
-def _slsqp_weight_polish(backend, w, obj):
-    """High-precision finisher for the simplex weight problem."""
-    objective, gradient = backend
-    res = sciopt.minimize(
-        lambda x: -objective(x)[0], w, jac=lambda x: -gradient(objective(x)[1]),
-        method="SLSQP", bounds=[(0.0, 1.0)] * len(w),
-        constraints=[{"type": "eq", "fun": lambda x: np.sum(x) - 1.0,
-                      "jac": lambda x: np.ones_like(x)}],
-        options={"maxiter": 300, "ftol": 1e-15})
-    if res.success or res.status in (0, 8):
-        x = np.maximum(res.x, 0.0)
-        total = x.sum()
-        if total > 0:
-            x = x / total
-            val, _ = objective(x)
-            if val > obj:
-                return x, val
-    return w, obj
+def _active_set_solve(backend, w0, max_iter: int, stat_tol: float,
+                      batch: int = 4) -> WeightSolve:
+    """Active-set Newton ascent on the bare simplex, certified by the
+    Frank-Wolfe gap over all members.
+
+    Each step works on the live members (w > 0) plus up to `batch`
+    members whose gradient exceeds g.w, the largest first: the Newton
+    step on that face (see _newton_step), backtracked.  When it is not
+    accepted, a Frank-Wolfe step toward the member of largest gradient
+    is tried.  A step is accepted when chi rises, or when chi stays
+    within rounding and the gap falls; the solve stops when the gap is
+    at most stat_tol (converged), when neither step is accepted
+    (stalled), or after max_iter steps."""
+    objective, gradient, hessian = backend
+    w = np.maximum(np.asarray(w0, dtype=float), 0.0)
+    w = w / w.sum()
+    obj, avg = objective(w)
+    grad = gradient(avg)
+    gap = _frank_wolfe_gap(grad, w)
+    for _ in range(max_iter):
+        if gap <= stat_tol:
+            return WeightSolve(w, obj, gap, "converged")
+        live = np.flatnonzero(w > 0.0)
+        out = np.flatnonzero((w == 0.0) & (grad > float(grad @ w)))
+        if out.size > batch:
+            out = out[np.argpartition(grad[out], -batch)[-batch:]]
+        work = np.concatenate((live, out))
+        d = _newton_step(grad, lambda idx: hessian(avg, idx), w, work)
+        step = None
+        if d is not None and float(grad[work] @ d) > 0.0:
+            step = _line_search(objective, gradient, w, obj, gap, work, d, 1.0)
+        if step is None:
+            j = int(np.argmax(grad))
+            work = np.union1d(live, [j])
+            d = -w[work]
+            d[np.searchsorted(work, j)] += 1.0
+            curv = -float(d @ hessian(avg, work) @ d)
+            if curv > 0.0:
+                step = _line_search(objective, gradient, w, obj, gap, work, d,
+                                    min(1.0, gap / curv))
+            if step is None:
+                # at a pure average the floored eigenvalue inflates the
+                # curvature by up to 1e40
+                step = _line_search(objective, gradient, w, obj, gap, work, d, 1.0)
+        if step is None:
+            return WeightSolve(w, obj, gap, "stalled")
+        w, obj, avg, grad, gap = step
+    return WeightSolve(w, obj, gap, "max_iter")
+
+
+def _line_search(objective, gradient, w, obj, gap, work, d, t):
+    """Backtracked step w + t d on the members `work` (w + d is
+    feasible, so is every t <= 1); returns (w, chi, average, gradient,
+    gap) of the accepted point or None."""
+    for _ in range(40):
+        w_new = w.copy()
+        w_new[work] += t * d
+        w_new = np.maximum(w_new, 0.0)
+        w_new /= w_new.sum()
+        obj_new, avg_new = objective(w_new)
+        if obj_new >= obj - 1e-15:
+            grad_new = gradient(avg_new)
+            gap_new = _frank_wolfe_gap(grad_new, w_new)
+            if obj_new > obj or gap_new < gap:
+                return w_new, obj_new, avg_new, grad_new, gap_new
+        t *= 0.5
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ chi-quantity of the feasible witness ensemble.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -297,8 +298,8 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
         blochs = _kernels.fibonacci_sphere(256)
         psis = _optim.qubit_pure_states(blochs)
         outs0 = _optim.batch_outputs_pure(channel, psis)
-        w0, _ = _optim.maximize_chi_weights(
-            outs0, np.full(len(psis), 1.0 / len(psis)), max_iter=400)
+        w0 = _optim.ascend_chi_weights(
+            outs0, np.full(len(psis), 1.0 / len(psis)), max_iter=400).w
         tops = np.argsort(w0)[::-1][:8]
         return [psis[i] for i in tops if w0[i] > 1e-8]
 
@@ -334,8 +335,12 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
                                      np.full(n_new, 1e-2 / n_new)])
         else:
             w0 = w
-        w, chi_val = _optim.maximize_chi_weights(
-            outs, w0, projector, max_iter=min(5000, opts.max_iter))
+        # the projected ascent keeps its step cap; the active-set solve on
+        # the bare simplex stops on its Frank-Wolfe gap
+        solve = _optim.maximize_chi_weights(
+            outs, w0, projector,
+            max_iter=opts.max_iter if projector is None else min(5000, opts.max_iter))
+        w, chi_val = solve.w, solve.chi
         omega = np.einsum("i,ijk->jk", w, outs)
         omega_cert = (1.0 - delta) * omega + delta * mix_out
 
@@ -381,8 +386,9 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
 
     if w is None or len(w) != len(support):
         outs = _optim.batch_outputs_pure(channel, np.stack(support))
-        w, chi_val = _optim.maximize_chi_weights(
+        solve = _optim.maximize_chi_weights(
             outs, np.full(len(support), 1.0 / len(support)), projector_factory(support))
+        w, chi_val = solve.w, solve.chi
     keep = w > 1e-12
     w_final = w[keep] / np.sum(w[keep])
     states = [DensityOperator.pure(s) for s, k in zip(support, keep) if k]
@@ -399,7 +405,8 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
         witness=witness, omega=omega, iterations=outer,
         heuristic_upper=not certified,
         wall_time_s=time.monotonic() - t0,
-        info={"support_size": len(states)},
+        info={"support_size": len(states), "weight_gap": solve.gap,
+              "weight_stop": solve.stop},
     )
 
 
@@ -491,14 +498,32 @@ def _qubit_grid_outputs(channel: Channel, blochs: np.ndarray):
     return None, outs
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_neighbours(resolution: int) -> np.ndarray:
+    """Indices (resolution, 8) of the 8 nearest points to each point of
+    the Fibonacci grid of that resolution."""
+    from scipy.spatial import cKDTree  # loaded with scipy.optimize already
+    blochs = _kernels.fibonacci_sphere(resolution)
+    return cKDTree(blochs).query(blochs, k=9)[1][:, 1:]
+
+
+#: most local grid maxima polished per reference
+_MAX_PEAKS = 16
+
+
 def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
-                     ref_mat: np.ndarray, polish: bool = True) -> float:
-    """sup over the input grid of H(output || ref), locally refined."""
+                     ref_mat: np.ndarray, polish: bool = True, out_hs=None) -> float:
+    """sup over the input grid of H(output || ref), refined by a local
+    ascent from every grid point no lower than its 8 nearest grid
+    neighbours, the highest _MAX_PEAKS of them (the divergence can have
+    several maxima on the sphere).  Each refined value is achieved by a
+    pure input, so this never exceeds the true sup.  out_hs: the
+    entropies of the grid outputs out_blochs, if known."""
     if out_blochs is not None:
         ref_b = bloch_of_state(ref_mat)
         if np.linalg.norm(ref_b) >= 1.0 - 1e-12 and _optim.escape_mass(channel, ref_mat) > 1e-8:
             return math.inf
-        vals = _kernels.relent_pairwise(out_blochs, ref_b[None, :])[:, 0]
+        vals = _kernels.relent_to_ref(out_blochs, ref_b, out_hs)
     else:
         if _optim.escape_mass(channel, ref_mat) > 1e-8:
             return math.inf
@@ -506,60 +531,84 @@ def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
     best = float(np.max(vals))
     if math.isinf(best) or not polish:
         return best
-    idx = int(np.argmax(vals))
+    near = vals[_grid_neighbours(len(blochs))]
+    # a peak also rises above its lowest neighbour by more than rounding,
+    # so that a flat divergence polishes from its argmax alone
+    peaks = np.flatnonzero((vals >= near.max(axis=1))
+                           & (vals > near.min(axis=1) + 1e-12 * (1.0 + abs(best))))
+    peaks = np.union1d(peaks, [int(np.argmax(vals))])
+    peaks = peaks[np.argsort(vals[peaks])[::-1][:_MAX_PEAKS]]
     from scipy import optimize as sciopt
-    log_ref = logm_psd(ref_mat)
+    if out_blochs is not None and np.linalg.norm(ref_b) < _kernels._PURE_EDGE:
+        # the grid's own closed form, at the output T p + t
+        tm, tv = bloch_map(channel)
+        divergence = _kernels.divergence_to_ref(ref_b)
 
-    def neg_f(ang):
-        th, ph = ang
-        psi = np.array([math.cos(th / 2.0),
-                        complex(math.cos(ph), math.sin(ph)) * math.sin(th / 2.0)])
-        y = channel.apply_pure_raw(psi)
-        lam = np.maximum(np.linalg.eigvalsh(y), 0.0)
-        nz = lam[lam > 0.0]
-        return -(float(np.sum(nz * np.log(nz)))
-                 - float(np.real(np.trace(y @ log_ref))))
+        def neg_f(ang):
+            th, ph = ang
+            st = math.sin(th)
+            return -divergence(tm @ np.array([st * math.cos(ph), st * math.sin(ph),
+                                              math.cos(th)]) + tv)
+    else:
+        log_ref = logm_psd(ref_mat)
 
-    u = blochs[idx]
-    th0 = math.acos(max(-1.0, min(1.0, u[2])))
-    ph0 = math.atan2(u[1], u[0])
-    res = sciopt.minimize(neg_f, np.array([th0, ph0]), method="Nelder-Mead",
-                          options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-13})
-    return max(best, float(-res.fun))
+        def neg_f(ang):
+            th, ph = ang
+            psi = np.array([math.cos(th / 2.0),
+                            complex(math.cos(ph), math.sin(ph)) * math.sin(th / 2.0)])
+            y = channel.apply_pure_raw(psi)
+            lam = np.maximum(np.linalg.eigvalsh(y), 0.0)
+            nz = lam[lam > 0.0]
+            return -(float(np.sum(nz * np.log(nz)))
+                     - float(np.real(np.trace(y @ log_ref))))
+
+    for idx in peaks:
+        u = blochs[idx]
+        th0 = math.acos(max(-1.0, min(1.0, u[2])))
+        ph0 = math.atan2(u[1], u[0])
+        res = sciopt.minimize(neg_f, np.array([th0, ph0]), method="Nelder-Mead",
+                              options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-13})
+        best = max(best, float(-res.fun))
+    return best
 
 
 def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRAINED,
                          resolution: int = 4096) -> tuple[float, float]:
     """Independent grid bracket of the capacity for qubit inputs.
 
-    lower: chi of the ensemble on a Bloch-sphere grid of `resolution`
-    points (feasible weights only) that a capped weight ascent reaches;
-    for qubit outputs the ascent usually stops at its iteration cap, so
-    this can lie below the best chi on the grid.  upper: min over a grid
-    of output reference states of the exhaustive-grid divergence sup.
-    The bracket is guaranteed up to the grid modulus.
+    lower: chi of an ensemble on a Bloch-sphere grid of `resolution`
+    points (feasible weights only).  Unconstrained with qubit outputs it
+    is the grid optimum to within a Frank-Wolfe gap of 1e-10 (column
+    generation over the grid, see _optim.maximize_chi_weights_bloch);
+    the other cases run a capped ascent on the grid or a subgrid, or an
+    LP for a singleton.  upper: min over candidate output references of
+    the divergence sup over the grid, polished by a local ascent from
+    every grid maximum (grid points no lower than their 8 nearest
+    neighbours).  The bracket is guaranteed up to the grid modulus.
     """
     if channel.d_in != 2:
         raise DimensionMismatch("brute force oracle supports d_in = 2 only")
     blochs = _kernels.fibonacci_sphere(resolution)
     out_blochs, outs = _qubit_grid_outputs(channel, blochs)
+    out_hs = None if out_blochs is None else \
+        _kernels.entropy_from_radius(np.linalg.norm(out_blochs, axis=1))
 
     # --- lower bound: ensemble weights on the grid
     w0 = np.full(resolution, 1.0 / resolution)
     if isinstance(constraint, Unconstrained):
         if out_blochs is not None:
-            w, lower = _optim.maximize_chi_weights_bloch(out_blochs, w0)
+            w, lower = _optim.maximize_chi_weights_bloch(out_blochs, w0)[:2]
         else:
             sub = np.linspace(0, resolution - 1, min(resolution, 512)).astype(int)
             w, lower = _optim.maximize_chi_weights(
-                outs[sub], np.full(len(sub), 1.0 / len(sub)), _optim.project_simplex)
+                outs[sub], np.full(len(sub), 1.0 / len(sub)), _optim.project_simplex)[:2]
     elif isinstance(constraint, ExpectationBound):
         hmat = constraint.H.mat
         psis = _optim.qubit_pure_states(blochs)
         a = np.real(np.einsum("gi,ij,gj->g", psis.conj(), hmat, psis))
         proj = lambda v: _optim.project_simplex_halfspace(v, a, constraint.h)
         if out_blochs is not None:
-            objective, gradient = _optim.bloch_backend(out_blochs, pure_ref=True)
+            objective, gradient, _ = _optim.bloch_backend(out_blochs, pure_ref=True)
             w = proj(w0)
             lower = -math.inf
             for _ in range(400):
@@ -572,14 +621,11 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
             sub = np.linspace(0, resolution - 1, min(resolution, 512)).astype(int)
             proj_sub = lambda v: _optim.project_simplex_halfspace(v, a[sub], constraint.h)
             w, lower = _optim.maximize_chi_weights(
-                outs[sub], np.full(len(sub), 1.0 / len(sub)), proj_sub)
+                outs[sub], np.full(len(sub), 1.0 / len(sub)), proj_sub)[:2]
     else:  # Singleton: LP over the grid for the convex closure
         b = bloch_of_state(constraint.rho.mat)
         from scipy import optimize as sciopt
-        if out_blochs is not None:
-            es = _kernels.entropy_from_radius(np.linalg.norm(out_blochs, axis=1))
-        else:
-            es = entropy_batch(outs)
+        es = entropy_batch(outs) if out_hs is None else out_hs
         res = sciopt.linprog(es, A_eq=np.vstack([blochs.T, np.ones(resolution)]),
                              b_eq=np.append(b, 1.0), bounds=(0, None), method="highs")
         if not res.success:
@@ -620,12 +666,13 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
         sups = []
         for ref in cands:
             sups.append(_grid_sup_to_ref(channel, blochs, out_blochs, outs,
-                                         ref, polish=False))
+                                         ref, polish=False, out_hs=out_hs))
         order = np.argsort(sups)
         upper = math.inf
         for idx in order[:4]:
             upper = min(upper, _grid_sup_to_ref(channel, blochs, out_blochs, outs,
-                                                cands[int(idx)], polish=True))
+                                                cands[int(idx)], polish=True,
+                                                out_hs=out_hs))
         if isinstance(constraint, ExpectationBound):
             # Lagrangian refinement over a lambda grid and all candidate
             # references (each (ref, lambda) pair is a valid upper bound)

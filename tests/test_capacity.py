@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize as sciopt
 
 import holevo_lab as hl
 from holevo_lab import _kernels, _optim
 from holevo_lab.capacity import SolverOptions
-from holevo_lab.channels import ClassicalChannelSpec, Channel, bloch_of_states
+from holevo_lab.channels import ClassicalChannelSpec, Channel, bloch_map, bloch_of_states
 from holevo_lab.opalg import random_density, relative_entropy_raw, trace_norm
 
 LOG2 = math.log(2.0)
@@ -381,7 +382,7 @@ def _random_qubit_stack(rng, m):
 
 
 def _bloch_backend_of(outs):
-    return _optim.bloch_backend(bloch_of_states(outs))
+    return _optim.bloch_backend(bloch_of_states(outs))[:2]
 
 
 def test_bloch_backend_matches_eigh_reference(rng):
@@ -416,11 +417,30 @@ def test_bloch_backend_pure_reference_matches_kernel(rng):
     # the oracle's gradient: relent_pairwise to the average, +inf as 1e3
     z = np.array([0.0, 0.0, 1.0])
     blochs = np.vstack([z, -z, 0.5 * z, rng.uniform(-0.5, 0.5, (4, 3))])
-    _, grad = _optim.bloch_backend(blochs, pure_ref=True)
+    _, grad, _ = _optim.bloch_backend(blochs, pure_ref=True)
     for r in (z, 0.3 * z + 0.2, np.zeros(3)):
         want = _kernels.relent_pairwise(blochs, r[None, :])[:, 0]
         assert np.max(np.abs(grad(r) - np.where(np.isfinite(want), want, 1e3))) <= 1e-14
     assert grad(z)[0] == 0.0 and grad(z)[1] == 1e3
+
+
+def _slsqp_finish(objective, gradient, w, obj):
+    """The SLSQP finisher the weight solver ran after its capped ascent."""
+    res = sciopt.minimize(
+        lambda x: -objective(x)[0], w, jac=lambda x: -gradient(objective(x)[1]),
+        method="SLSQP", bounds=[(0.0, 1.0)] * len(w),
+        constraints=[{"type": "eq", "fun": lambda x: np.sum(x) - 1.0,
+                      "jac": lambda x: np.ones_like(x)}],
+        options={"maxiter": 300, "ftol": 1e-15})
+    x = np.maximum(res.x, 0.0)
+    return max(obj, objective(x / x.sum())[0])
+
+
+def _reference_chi(backend, w0):
+    """chi from the capped multiplicative ascent plus the SLSQP finisher."""
+    objective, gradient = backend[:2]
+    start = _optim._ascend((objective, gradient), w0, None, 2000, 1e-11)
+    return _slsqp_finish(objective, gradient, start.w, start.chi)
 
 
 def test_maximize_chi_weights_matches_eigh_reference(rng):
@@ -428,11 +448,61 @@ def test_maximize_chi_weights_matches_eigh_reference(rng):
         outs = _random_qubit_stack(rng, m)
         w0 = np.full(m, 1.0 / m)
         backend = _eigh_reference_backend(outs)
-        w_ref, want = _optim._ascend(backend, w0, None, 2000, 1e-11)
-        w_ref, want = _optim._slsqp_weight_polish(backend, w_ref, want)
-        w, got = _optim.maximize_chi_weights(outs, w0)
+        want = _reference_chi(backend, w0)
+        w, got = _optim.maximize_chi_weights(outs, w0)[:2]
         assert got == pytest.approx(want, abs=1e-10)
         assert got == pytest.approx(backend[0](w)[0], abs=1e-12)
+
+
+def test_maximize_chi_weights_certifies_frank_wolfe_gap(rng):
+    # the reported gap max_i g_i - g.w is at most stat_tol, and so is the
+    # gap recomputed from the eigh formulas at the returned weights
+    for trial in range(24):
+        m = (2, 3, 5, 8, 12, 16, 24, 40)[trial % 8]
+        outs = _random_qubit_stack(rng, m)
+        w0 = rng.dirichlet(np.ones(m)) if trial % 2 else np.full(m, 1.0 / m)
+        objective, gradient = _eigh_reference_backend(outs)
+        sol = _optim.maximize_chi_weights(outs, w0)
+        assert sol.stop == "converged" and sol.gap <= 1e-11
+        got, avg = objective(sol.w)
+        g = gradient(avg)
+        assert float(np.max(g) - g @ sol.w) <= 1e-11 + 2e-12
+        assert sol.chi == pytest.approx(got, abs=1e-12)
+        assert sol.chi == pytest.approx(_reference_chi((objective, gradient), w0), abs=1e-10)
+
+
+def test_maximize_chi_weights_converges_on_matrix_outputs(rng):
+    for m in (3, 9, 18):
+        outs = np.stack([random_density(rng, 3).mat for _ in range(m)])
+        backend = _optim.matrix_backend(outs)
+        w0 = np.full(m, 1.0 / m)
+        sol = _optim.maximize_chi_weights(outs, w0)
+        assert sol.stop == "converged" and sol.gap <= 1e-11
+        assert sol.chi == pytest.approx(_reference_chi(backend, w0), abs=1e-10)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_weight_hessian_matches_gradient_differences(rng, dim):
+    # on the simplex only H d up to a multiple of (1, ..., 1) matters:
+    # the gradients are member divergences, which drop the constant -1
+    # (matrix) or -alpha (Bloch) of the true gradient of chi
+    def centered(v):
+        return v - v.mean()
+
+    for m in (2, 5, 9):
+        outs = np.stack([random_density(rng, dim).mat for _ in range(m)])
+        objective, gradient, hessian = _optim.weight_backend(outs)
+        w = rng.dirichlet(np.ones(m))
+        hess = hessian(objective(w)[1], np.arange(m))
+        assert np.max(np.abs(hess - hess.T)) <= 1e-12
+        eps = 1e-6
+        for _ in range(3):
+            d = centered(rng.standard_normal(m))
+            num = (gradient(objective(w + eps * d)[1])
+                   - gradient(objective(w - eps * d)[1])) / (2 * eps)
+            assert np.max(np.abs(centered(num) - centered(hess @ d))) <= 1e-6
+        sub = np.array([0, m - 1])
+        assert np.array_equal(hessian(objective(w)[1], sub), hess[np.ix_(sub, sub)])
 
 
 # --- brute force oracle ------------------------------------------------------
@@ -479,9 +549,16 @@ def test_brute_force_singleton():
 
 
 # brackets of brute_force_capacity(ch, resolution=16384) for the first three
-# channels of test_criterion_4, recorded before the oracle's weight ascent
-# moved to the Bloch backend
+# channels of test_criterion_4: with the column-generation weights and the
+# upper end polished from every local grid maximum, and as recorded before,
+# with a capped weight ascent and the upper end polished from the grid
+# argmax only
 ORACLE_BRACKETS_2024 = (
+    (0.69314718055994, 0.6931471805599453),
+    (0.38401343408158656, 0.3841590382530454),
+    (0.6555514171323404, 0.6557937646424277),
+)
+ORACLE_BRACKETS_2024_BEFORE = (
     (0.6931471805599402, 0.6931471805599453),
     (0.3838956628775717, 0.3843738359674054),
     (0.6554551355465258, 0.6560055403749983),
@@ -490,11 +567,78 @@ ORACLE_BRACKETS_2024 = (
 
 def test_brute_force_brackets_regression():
     rng = np.random.default_rng(2024)
-    for want_lo, want_up in ORACLE_BRACKETS_2024:
+    for (want_lo, want_up), (old_lo, old_up) in zip(ORACLE_BRACKETS_2024,
+                                                    ORACLE_BRACKETS_2024_BEFORE):
         ch = hl.random_channel(rng, 2, 2, int(rng.integers(1, 4)))
         lo, up = hl.brute_force_capacity(ch, resolution=16384)
         assert lo == pytest.approx(want_lo, abs=1e-12)
         assert up == pytest.approx(want_up, abs=1e-12)
+        # a converged lower end only moves up; the first channel is
+        # unitary, and its lower end is log 2 less the entropies h(|b|) of
+        # members with |b| within an ulp of 1, which are rounding (up to
+        # 7e-15 each).  The upper end is a min over references, one of
+        # them the average output of the lower end's ensemble: with
+        # converged weights that reference is closer to the optimal
+        # output, and the upper end of the second and third channel falls
+        assert lo >= old_lo - 1e-15
+        assert lo <= up <= old_up
+
+
+def test_oracle_weights_certify_full_grid_gap():
+    # criterion-4 channels of Kraus rank >= 2: the Frank-Wolfe gap over
+    # all 16384 grid outputs, recomputed with relent_pairwise
+    rng = np.random.default_rng(2024)
+    blochs = _kernels.fibonacci_sphere(16384)
+    checked = 0
+    for _ in range(10):
+        rank = int(rng.integers(1, 4))
+        ch = hl.random_channel(rng, 2, 2, rank)
+        if rank < 2:
+            continue
+        tm, tv = bloch_map(ch)
+        outs = blochs @ tm.T + tv[None, :]
+        sol = _optim.maximize_chi_weights_bloch(outs, np.full(len(outs), 1.0 / len(outs)))
+        g = _kernels.relent_pairwise(outs, (sol.w @ outs)[None, :])[:, 0]
+        assert sol.stop == "converged"
+        assert float(np.max(g) - g @ sol.w) <= 1e-10
+        checked += 1
+    assert checked == 5
+
+
+def test_grid_neighbours_are_nearest():
+    from holevo_lab.capacity import _grid_neighbours
+    pts = _kernels.fibonacci_sphere(1500)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    want = np.sort(np.argsort(dist, axis=1)[:, 1:9], axis=1)
+    assert np.array_equal(np.sort(_grid_neighbours(1500), axis=1), want)
+
+
+# inputs of the perfbench qubit workload (Kraus rank 2, 3, 4 in turn) where
+# the upper end fell below the chi of the solver's witness, by 2.1e-6 and
+# 1.04e-5, and the Bloch vector of the reference that set it: the average
+# output of the oracle's former capped weight ascent.  The divergence to
+# that reference has a second, higher maximum than the one the grid argmax
+# leads to.
+WITNESS_ABOVE_UPPER = {
+    (207, 3): (-0.3121919010866745, -0.12881026738168014, 0.041476771916146286),
+    (4, 12): (0.12249371322627467, 0.0261527084805878, -0.009421480306087084),
+}
+
+
+@pytest.mark.parametrize("seed, op", sorted(WITNESS_ABOVE_UPPER))
+def test_oracle_upper_end_above_witness_chi(seed, op):
+    from holevo_lab.capacity import _grid_sup_to_ref, _qubit_grid_outputs
+    from holevo_lab.channels import state_of_bloch
+    rng = np.random.default_rng(seed)
+    for i in range(op + 1):
+        ch = hl.random_channel(rng, 2, 2, 2 + i % 3)
+    chi = float(hl.chi_quantity(ch, hl.chi_capacity(ch, tol=1e-6).witness))
+    lo, up = hl.brute_force_capacity(ch, resolution=16384)
+    assert lo <= chi <= up
+    blochs = _kernels.fibonacci_sphere(16384)
+    out_blochs, outs = _qubit_grid_outputs(ch, blochs)
+    ref = state_of_bloch(np.array(WITNESS_ABOVE_UPPER[seed, op]))
+    assert _grid_sup_to_ref(ch, blochs, out_blochs, outs, ref) >= chi
 
 
 # --- optimal output state ----------------------------------------------------

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -42,15 +39,21 @@ def test_relent_pairwise_pure_reference():
     assert math.isinf(got[2, 0])
 
 
-def test_numba_and_numpy_paths_agree(rng):
-    a = random_bloch(rng, 30)
-    b = random_bloch(rng, 10, r_max=0.95)
-    jit = _kernels.relent_pairwise(a, b)
-    ref = _kernels.relent_pairwise_numpy(a, b)
-    assert np.allclose(jit, ref, atol=1e-12)
-    r = np.linalg.norm(a, axis=1)
-    assert np.allclose(_kernels.entropy_from_radius(r),
-                       _kernels.entropy_from_radius_numpy(r), atol=1e-13)
+def test_relent_to_ref_matches_pairwise_kernel(rng):
+    a = random_bloch(rng, 300)
+    a[:5] /= np.linalg.norm(a[:5], axis=1, keepdims=True)  # pure rows
+    refs = [random_bloch(rng, 1, r_max=0.99)[0], np.zeros(3), a[0], -a[1]]
+    for b in refs:
+        want = _kernels.relent_pairwise(a, b[None, :])[:, 0]
+        assert np.array_equal(_kernels.relent_to_ref(a, b), want)
+
+
+def test_divergence_to_ref_matches_kernel(rng):
+    a = random_bloch(rng, 50)
+    for b in (random_bloch(rng, 1, r_max=0.99)[0], np.zeros(3)):
+        f = _kernels.divergence_to_ref(b)
+        want = _kernels.relent_to_ref(a, b)
+        assert np.max(np.abs([f(x) for x in a] - want)) <= 1e-14
 
 
 def test_fibonacci_sphere_covers():
@@ -58,14 +61,3 @@ def test_fibonacci_sphere_covers():
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     # barycenter of a near-uniform grid is close to the origin
     assert np.linalg.norm(pts.mean(axis=0)) < 0.01
-
-
-def test_env_flag_selects_pure_numpy():
-    code = (
-        "import holevo_lab._kernels as k; "
-        "print(k.USE_NUMBA, k.relent_pairwise is k.relent_pairwise_numpy)"
-    )
-    env = dict(os.environ, HOLEVO_LAB_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
