@@ -202,26 +202,24 @@ def maximize_chi_weights(outs: np.ndarray, w0: np.ndarray, projector=None,
     return _ascend(backend, w0, projector, max_iter, stat_tol)
 
 
-def ascend_chi_weights(outs: np.ndarray, w0: np.ndarray, max_iter: int,
-                       stat_tol: float = 1e-11) -> WeightSolve:
+def ascend_chi_weights(outs: np.ndarray, w0: np.ndarray, max_iter: int) -> WeightSolve:
     """Capped exponentiated-gradient ascent on the bare simplex, for
     callers that only rank states by weight."""
-    return _ascend(weight_backend(outs), w0, None, max_iter, stat_tol)
+    return _ascend(weight_backend(outs), w0, None, max_iter, 1e-11)
 
 
 def maximize_chi_weights_bloch(blochs: np.ndarray, w0: np.ndarray,
-                               max_iter: int = 1000, stat_tol: float = 1e-10,
-                               batch: int = 8) -> WeightSolve:
+                               max_iter: int = 1000, stat_tol: float = 1e-10) -> WeightSolve:
     """Column generation for qubit outputs given as Bloch vectors (m, 3),
     with the divergences of _kernels.relent_pairwise as the gradient.
     Starts from the member of largest divergence to the average of w0;
-    each Newton step runs on the live members plus the `batch` members
-    of largest gradient, and the Frank-Wolfe gap is taken over all m."""
+    each Newton step runs on the live members plus the 8 members of
+    largest gradient, and the Frank-Wolfe gap is taken over all m."""
     backend = bloch_backend(blochs, pure_ref=True)
     _, avg = backend[0](np.asarray(w0, dtype=float))
     start = np.zeros(len(blochs))
     start[int(np.argmax(backend[1](avg)))] = 1.0
-    return _active_set_solve(backend, start, max_iter, stat_tol, batch)
+    return _active_set_solve(backend, start, max_iter, stat_tol, batch=8)
 
 
 def _ascend(backend, w0, projector, max_iter: int, stat_tol: float) -> WeightSolve:

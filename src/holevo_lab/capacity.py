@@ -269,7 +269,7 @@ def _dedupe_append(support: list[np.ndarray], cands, overlap: float = 1.0 - 1e-1
 
 def _weight_projector(constraint: ConstraintSet, support: list[np.ndarray]):
     if isinstance(constraint, Unconstrained):
-        return None  # bare simplex: multiplicative update allowed
+        return None  # bare simplex: the active-set weight solve
     if isinstance(constraint, ExpectationBound):
         hmat = constraint.H.mat
         a = np.array([float(np.real(v.conj() @ (hmat @ v))) for v in support])
@@ -331,6 +331,9 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
             if w is None:
                 w0 = np.full(len(support), 1.0 / len(support))
             else:
+                # new states enter at a total weight of 1e-2; both weight
+                # solves would also raise them from zero, but dropping
+                # this start moves the solver's trajectories
                 w0 = np.concatenate([w * (1.0 - 1e-2),
                                      np.full(n_new, 1e-2 / n_new)])
         else:
@@ -375,8 +378,9 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
         if added == 0:
             if not math.isinf(upper):
                 break
-            # escape state already in support but weighted zero; the
-            # multiplicative update cannot revive it, a restart can
+            # escape state already in support but weighted zero: restart
+            # from uniform weights (the weight solves could also raise
+            # it from zero; dropping the restart moves trajectories)
             w = None
         if w is not None and len(support) > cap:
             live = w > 1e-12
@@ -512,13 +516,15 @@ _MAX_PEAKS = 16
 
 
 def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
-                     ref_mat: np.ndarray, polish: bool = True, out_hs=None) -> float:
-    """sup over the input grid of H(output || ref), refined by a local
-    ascent from every grid point no lower than its 8 nearest grid
-    neighbours, the highest _MAX_PEAKS of them (the divergence can have
-    several maxima on the sphere).  Each refined value is achieved by a
-    pure input, so this never exceeds the true sup.  out_hs: the
-    entropies of the grid outputs out_blochs, if known."""
+                     ref_mat: np.ndarray, neighbours=None, out_hs=None) -> float:
+    """sup over the input grid of H(output || ref).  Given neighbours,
+    the (len(blochs), 8) indices of each grid point's nearest grid points
+    (see _grid_neighbours), it is refined by a local ascent from every
+    grid point no lower than its neighbours, the highest _MAX_PEAKS of
+    them (the divergence can have several maxima on the sphere).  Each
+    refined value is achieved by a pure input, so this never exceeds the
+    true sup.  out_hs: the entropies of the grid outputs out_blochs, if
+    known."""
     if out_blochs is not None:
         ref_b = bloch_of_state(ref_mat)
         if np.linalg.norm(ref_b) >= 1.0 - 1e-12 and _optim.escape_mass(channel, ref_mat) > 1e-8:
@@ -529,9 +535,9 @@ def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
             return math.inf
         vals = _optim.relent_to_ref_batch(outs, ref_mat)
     best = float(np.max(vals))
-    if math.isinf(best) or not polish:
+    if math.isinf(best) or neighbours is None:
         return best
-    near = vals[_grid_neighbours(len(blochs))]
+    near = vals[neighbours]
     # a peak also rises above its lowest neighbour by more than rounding,
     # so that a flat divergence polishes from its argmax alone
     peaks = np.flatnonzero((vals >= near.max(axis=1))
@@ -666,12 +672,13 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
         sups = []
         for ref in cands:
             sups.append(_grid_sup_to_ref(channel, blochs, out_blochs, outs,
-                                         ref, polish=False, out_hs=out_hs))
+                                         ref, out_hs=out_hs))
         order = np.argsort(sups)
         upper = math.inf
+        neighbours = _grid_neighbours(resolution)
         for idx in order[:4]:
             upper = min(upper, _grid_sup_to_ref(channel, blochs, out_blochs, outs,
-                                                cands[int(idx)], polish=True,
+                                                cands[int(idx)], neighbours,
                                                 out_hs=out_hs))
         if isinstance(constraint, ExpectationBound):
             # Lagrangian refinement over a lambda grid and all candidate

@@ -627,7 +627,7 @@ WITNESS_ABOVE_UPPER = {
 
 @pytest.mark.parametrize("seed, op", sorted(WITNESS_ABOVE_UPPER))
 def test_oracle_upper_end_above_witness_chi(seed, op):
-    from holevo_lab.capacity import _grid_sup_to_ref, _qubit_grid_outputs
+    from holevo_lab.capacity import _grid_neighbours, _grid_sup_to_ref, _qubit_grid_outputs
     from holevo_lab.channels import state_of_bloch
     rng = np.random.default_rng(seed)
     for i in range(op + 1):
@@ -638,7 +638,8 @@ def test_oracle_upper_end_above_witness_chi(seed, op):
     blochs = _kernels.fibonacci_sphere(16384)
     out_blochs, outs = _qubit_grid_outputs(ch, blochs)
     ref = state_of_bloch(np.array(WITNESS_ABOVE_UPPER[seed, op]))
-    assert _grid_sup_to_ref(ch, blochs, out_blochs, outs, ref) >= chi
+    assert _grid_sup_to_ref(ch, blochs, out_blochs, outs, ref,
+                            _grid_neighbours(16384)) >= chi
 
 
 # --- optimal output state ----------------------------------------------------
