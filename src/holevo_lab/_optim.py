@@ -1,4 +1,4 @@
-"""Solver internals: simplex projections, weight ascent, pure-state
+"""Solver internals: simplex projections, ensemble-weight solves, pure-state
 maximization, and decomposition search for the convex closure of the
 output entropy.
 
@@ -191,10 +191,11 @@ def maximize_chi_weights(outs: np.ndarray, w0: np.ndarray, projector=None,
     """Maximize H(sum_i w_i Y_i) - sum_i w_i H(Y_i) over feasible weights.
 
     outs: stack (m, d, d) of member outputs, on weight_backend.  On the
-    bare simplex (projector None) an active-set Newton solve runs until
-    the Frank-Wolfe gap is at most stat_tol; a custom feasible-set
-    projector switches to Euclidean projected ascent, capped at max_iter
-    steps.
+    bare simplex (projector None) an active-set Newton solve runs from w0
+    until the Frank-Wolfe gap is at most stat_tol; a custom feasible-set
+    projector switches to Euclidean projected ascent (see _ascend),
+    capped at max_iter steps.  For many members of which few carry
+    weight, column_generation is the faster bare-simplex solve.
     """
     backend = weight_backend(outs)
     if projector is None:
@@ -202,31 +203,32 @@ def maximize_chi_weights(outs: np.ndarray, w0: np.ndarray, projector=None,
     return _ascend(backend, w0, projector, max_iter, stat_tol)
 
 
-def ascend_chi_weights(outs: np.ndarray, w0: np.ndarray, max_iter: int) -> WeightSolve:
-    """Capped exponentiated-gradient ascent on the bare simplex, for
-    callers that only rank states by weight."""
-    return _ascend(weight_backend(outs), w0, None, max_iter, 1e-11)
+def column_generation(backend, w0: np.ndarray) -> WeightSolve:
+    """Bare-simplex weight solve over many members on a weight backend,
+    of which few end up live.  Starts from the member of largest
+    divergence to the average of w0; each Newton step of the active-set
+    solve runs on the live members plus the 8 members of largest
+    gradient, and the Frank-Wolfe gap is taken over all members.  Stops
+    at a gap of 1e-10, when no step is accepted, or after 1000 steps."""
+    objective, gradient = backend[:2]
+    _, avg = objective(np.asarray(w0, dtype=float))
+    start = np.zeros(len(w0))
+    start[int(np.argmax(gradient(avg)))] = 1.0
+    return _active_set_solve(backend, start, 1000, 1e-10, batch=8)
 
 
-def maximize_chi_weights_bloch(blochs: np.ndarray, w0: np.ndarray,
-                               max_iter: int = 1000, stat_tol: float = 1e-10) -> WeightSolve:
-    """Column generation for qubit outputs given as Bloch vectors (m, 3),
-    with the divergences of _kernels.relent_pairwise as the gradient.
-    Starts from the member of largest divergence to the average of w0;
-    each Newton step runs on the live members plus the 8 members of
-    largest gradient, and the Frank-Wolfe gap is taken over all m."""
-    backend = bloch_backend(blochs, pure_ref=True)
-    _, avg = backend[0](np.asarray(w0, dtype=float))
-    start = np.zeros(len(blochs))
-    start[int(np.argmax(backend[1](avg)))] = 1.0
-    return _active_set_solve(backend, start, max_iter, stat_tol, batch=8)
+def maximize_chi_weights_bloch(blochs: np.ndarray, w0: np.ndarray) -> WeightSolve:
+    """column_generation for qubit outputs given as Bloch vectors (m, 3),
+    with the divergences of _kernels.relent_pairwise as the gradient."""
+    return column_generation(bloch_backend(blochs, pure_ref=True), w0)
 
 
 def _ascend(backend, w0, projector, max_iter: int, stat_tol: float) -> WeightSolve:
-    """Backtracked ascent until the stationarity gap max(grad) - grad.w
-    falls to stat_tol or no step improves the objective."""
+    """Backtracked Euclidean projected ascent on the feasible set of
+    projector, until the stationarity gap max(grad) - grad.w falls to
+    stat_tol, no step improves the objective, or after max_iter steps."""
     objective, gradient = backend[:2]
-    w = (projector or project_simplex)(np.asarray(w0, dtype=float))
+    w = projector(np.asarray(w0, dtype=float))
     obj, avg = objective(w)
     t = 1.0
     for _ in range(max_iter):
@@ -235,12 +237,7 @@ def _ascend(backend, w0, projector, max_iter: int, stat_tol: float) -> WeightSol
         if gap <= stat_tol:
             return WeightSolve(w, obj, gap, "converged")
         for _ in range(60):
-            if projector is None:
-                scaled = w * np.exp(min(t, 60.0) * (grad - np.max(grad)))
-                total = scaled.sum()
-                w_new = scaled / total if total > 0.0 else w
-            else:
-                w_new = projector(w + t * grad)
+            w_new = projector(w + t * grad)
             obj_new, avg_new = objective(w_new)
             if obj_new > obj + 1e-15:
                 w, obj, avg = w_new, obj_new, avg_new
@@ -737,13 +734,11 @@ def make_qubit_surface(channel: Channel):
 
 
 def hhat_qubit(channel: Channel, rho: np.ndarray, grid: int = 512):
-    """Convex closure at a qubit input: LP over a Bloch-sphere grid.
-    Exact up to the grid modulus; refined by the isometry search."""
+    """Convex closure at a mixed qubit input: LP over a Bloch-sphere grid.
+    Exact up to the grid modulus; refined by the isometry search.
+    Returns (value, weights, unit member vectors (k, 2))."""
     b = bloch_of_state(rho)
     rb = np.linalg.norm(b)
-    if rb >= 1.0 - 1e-12:
-        y = channel.apply_raw(rho)
-        return entropy_raw(y), np.array([1.0]), [rho]
     surface = make_qubit_surface(channel)
     bhat = b / rb if rb > 1e-14 else np.array([0.0, 0.0, 1.0])
     pts = np.vstack([_kernels.fibonacci_sphere(grid), bhat[None, :], -bhat[None, :]])
@@ -758,10 +753,7 @@ def hhat_qubit(channel: Channel, rho: np.ndarray, grid: int = 512):
     w = res.x
     active = np.argsort(w)[::-1][:4]
     active = active[w[active] > 1e-12]
-    best_w = w[active] / np.sum(w[active])
-    from .channels import state_of_bloch
-    mats = [state_of_bloch(p) for p in pts[active]]
-    return float(res.fun), best_w, mats
+    return float(res.fun), w[active] / np.sum(w[active]), qubit_pure_states(pts[active])
 
 
 def hhat_search(channel: Channel, rho: np.ndarray, rng: np.random.Generator,
@@ -771,22 +763,14 @@ def hhat_search(channel: Channel, rho: np.ndarray, rng: np.random.Generator,
     descent uses the Bloch backend for qubit -> qubit channels and the
     matrix backend for all others (see hhat_isometry_search)."""
     if channel.d_in == 2:
-        val, w, mats = hhat_qubit(channel, rho, grid=grid)
-        members = np.column_stack([
-            math.sqrt(wi) * _pure_vector_of(mat) for wi, mat in zip(w, mats)
-        ]) if len(mats) else np.zeros((2, 0), dtype=complex)
-        warm = ()
-        if members.shape[1] and np.linalg.matrix_rank(rho) > 1:
-            warm = (isometry_from_members(rho, members, m=4),)
+        if np.linalg.norm(bloch_of_state(rho)) >= 1.0 - 1e-12:
+            return entropy_raw(channel.apply_raw(rho)), np.array([1.0]), [rho]
+        val, w, vecs = hhat_qubit(channel, rho, grid=grid)
+        warm = isometry_from_members(rho, (vecs * np.sqrt(w)[:, None]).T, m=4)
         val2, w2, mats2 = hhat_isometry_search(
             channel, rho, rng, starts=max(1, min(2, starts)), m=4,
-            iters=160, warm_starts=warm)
+            iters=160, warm_starts=(warm,))
         if val2 < val - 1e-12:
             return val2, w2, mats2
-        return val, w, mats
+        return val, w, [np.outer(v, v.conj()) for v in vecs]
     return hhat_isometry_search(channel, rho, rng, starts=starts, m=m)
-
-
-def _pure_vector_of(mat: np.ndarray) -> np.ndarray:
-    lam, u = np.linalg.eigh(mat)
-    return u[:, -1]

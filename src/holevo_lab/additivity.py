@@ -37,8 +37,6 @@ from .opalg import (
     DensityOperator,
     DimensionMismatch,
     partial_trace_raw,
-    random_density,
-    random_pure,
     trace_norm,
 )
 
@@ -341,7 +339,7 @@ def report_row(report: AdditivityReport, left_label: str, right_label: str,
 
 
 # ---------------------------------------------------------------------------
-# the seeded state grid for sub/superadditivity sweeps
+# canonical two-qubit states
 
 def bell_state() -> DensityOperator:
     v = np.zeros(4, dtype=complex)
@@ -356,18 +354,3 @@ def werner_state(q: float) -> DensityOperator:
     singlet = np.outer(v, v.conj())
     return DensityOperator(q * singlet + (1.0 - q) * np.eye(4) / 4.0)
 
-
-def two_qubit_state_grid(seed: int = 42, n_pure: int = 32,
-                         n_mixed: int = 32) -> list[DensityOperator]:
-    """Fixed seeded grid: canonical states plus Haar-like pure and
-    Ginibre mixed samples."""
-    rng = np.random.default_rng(seed)
-    states = [
-        DensityOperator.pure(np.array([1, 0, 0, 0], dtype=complex)),
-        bell_state(),
-        werner_state(0.25),
-        werner_state(0.75),
-    ]
-    states += [random_pure(rng, 4) for _ in range(n_pure)]
-    states += [random_density(rng, 4) for _ in range(n_mixed)]
-    return states

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import optimize as sciopt
 
 from . import _kernels, _optim
 from .channels import Channel, bloch_map, bloch_of_state, state_of_bloch
@@ -294,12 +295,13 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
     _dedupe_append(support, [np.asarray(v, dtype=complex) for v in extra_seeds])
 
     def _grid_seed_states():
-        # coarse grid ascent locates the optimal support structure cheaply
+        # column generation on a coarse grid locates the optimal support
+        # structure cheaply
         blochs = _kernels.fibonacci_sphere(256)
         psis = _optim.qubit_pure_states(blochs)
         outs0 = _optim.batch_outputs_pure(channel, psis)
-        w0 = _optim.ascend_chi_weights(
-            outs0, np.full(len(psis), 1.0 / len(psis)), max_iter=400).w
+        w0 = _optim.column_generation(_optim.weight_backend(outs0),
+                                      np.full(len(psis), 1.0 / len(psis))).w
         tops = np.argsort(w0)[::-1][:8]
         return [psis[i] for i in tops if w0[i] > 1e-8]
 
@@ -326,18 +328,11 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
     for outer in range(1, opts.max_outer + 1):
         outs = _optim.batch_outputs_pure(channel, np.stack(support))
         projector = projector_factory(support)
-        if w is None or len(w) != len(support):
-            n_new = len(support) - (0 if w is None else len(w))
-            if w is None:
-                w0 = np.full(len(support), 1.0 / len(support))
-            else:
-                # new states enter at a total weight of 1e-2; both weight
-                # solves would also raise them from zero, but dropping
-                # this start moves the solver's trajectories
-                w0 = np.concatenate([w * (1.0 - 1e-2),
-                                     np.full(n_new, 1e-2 / n_new)])
+        if w is None:
+            w0 = np.full(len(support), 1.0 / len(support))
         else:
-            w0 = w
+            # new states enter at weight 0; both weight solves raise them
+            w0 = np.concatenate([w, np.zeros(len(support) - len(w))])
         # the projected ascent keeps its step cap; the active-set solve on
         # the bare simplex stops on its Frank-Wolfe gap
         solve = _optim.maximize_chi_weights(
@@ -376,13 +371,8 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
         added = _dedupe_append(support, [s for s in new_states if s is not None])
         added += _dedupe_append(support, polish)
         if added == 0:
-            if not math.isinf(upper):
-                break
-            # escape state already in support but weighted zero: restart
-            # from uniform weights (the weight solves could also raise
-            # it from zero; dropping the restart moves trajectories)
-            w = None
-        if w is not None and len(support) > cap:
+            break
+        if len(support) > cap:
             live = w > 1e-12
             keep_idx = [i for i in range(len(w)) if live[i]]
             support = [support[i] for i in keep_idx] + support[len(w):]
@@ -544,7 +534,6 @@ def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
                            & (vals > near.min(axis=1) + 1e-12 * (1.0 + abs(best))))
     peaks = np.union1d(peaks, [int(np.argmax(vals))])
     peaks = peaks[np.argsort(vals[peaks])[::-1][:_MAX_PEAKS]]
-    from scipy import optimize as sciopt
     if out_blochs is not None and np.linalg.norm(ref_b) < _kernels._PURE_EDGE:
         # the grid's own closed form, at the output T p + t
         tm, tv = bloch_map(channel)
@@ -583,14 +572,14 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
     """Independent grid bracket of the capacity for qubit inputs.
 
     lower: chi of an ensemble on a Bloch-sphere grid of `resolution`
-    points (feasible weights only).  Unconstrained with qubit outputs it
-    is the grid optimum to within a Frank-Wolfe gap of 1e-10 (column
-    generation over the grid, see _optim.maximize_chi_weights_bloch);
-    the other cases run a capped ascent on the grid or a subgrid, or an
-    LP for a singleton.  upper: min over candidate output references of
-    the divergence sup over the grid, polished by a local ascent from
-    every grid maximum (grid points no lower than their 8 nearest
-    neighbours).  The bracket is guaranteed up to the grid modulus.
+    points (feasible weights only).  Unconstrained it is the grid
+    optimum to within a Frank-Wolfe gap of 1e-10 (column generation over
+    the grid, see _optim.column_generation); under an energy bound a
+    capped ascent runs on the grid or a subgrid, and for a singleton an
+    LP.  upper: min over candidate output references of the divergence
+    sup over the grid, polished by a local ascent from every grid
+    maximum (grid points no lower than their 8 nearest neighbours).  The
+    bracket is guaranteed up to the grid modulus.
     """
     if channel.d_in != 2:
         raise DimensionMismatch("brute force oracle supports d_in = 2 only")
@@ -599,19 +588,20 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
     out_hs = None if out_blochs is None else \
         _kernels.entropy_from_radius(np.linalg.norm(out_blochs, axis=1))
 
+    if isinstance(constraint, ExpectationBound):
+        # energies <psi|H|psi> of the grid states
+        hmat = constraint.H.mat
+        psis = _optim.qubit_pure_states(blochs)
+        a = np.real(np.einsum("gi,ij,gj->g", psis.conj(), hmat, psis))
+
     # --- lower bound: ensemble weights on the grid
     w0 = np.full(resolution, 1.0 / resolution)
     if isinstance(constraint, Unconstrained):
         if out_blochs is not None:
             w, lower = _optim.maximize_chi_weights_bloch(out_blochs, w0)[:2]
         else:
-            sub = np.linspace(0, resolution - 1, min(resolution, 512)).astype(int)
-            w, lower = _optim.maximize_chi_weights(
-                outs[sub], np.full(len(sub), 1.0 / len(sub)), _optim.project_simplex)[:2]
+            w, lower = _optim.column_generation(_optim.matrix_backend(outs), w0)[:2]
     elif isinstance(constraint, ExpectationBound):
-        hmat = constraint.H.mat
-        psis = _optim.qubit_pure_states(blochs)
-        a = np.real(np.einsum("gi,ij,gj->g", psis.conj(), hmat, psis))
         proj = lambda v: _optim.project_simplex_halfspace(v, a, constraint.h)
         if out_blochs is not None:
             objective, gradient, _ = _optim.bloch_backend(out_blochs, pure_ref=True)
@@ -630,7 +620,6 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
                 outs[sub], np.full(len(sub), 1.0 / len(sub)), proj_sub)[:2]
     else:  # Singleton: LP over the grid for the convex closure
         b = bloch_of_state(constraint.rho.mat)
-        from scipy import optimize as sciopt
         es = entropy_batch(outs) if out_hs is None else out_hs
         res = sciopt.linprog(es, A_eq=np.vstack([blochs.T, np.ones(resolution)]),
                              b_eq=np.append(b, 1.0), bounds=(0, None), method="highs")
@@ -683,9 +672,6 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
         if isinstance(constraint, ExpectationBound):
             # Lagrangian refinement over a lambda grid and all candidate
             # references (each (ref, lambda) pair is a valid upper bound)
-            hmat = constraint.H.mat
-            psis = _optim.qubit_pure_states(blochs)
-            a = np.real(np.einsum("gi,ij,gj->g", psis.conj(), hmat, psis))
             lam_span = float(np.ptp(np.linalg.eigvalsh(hmat)))
             if out_blochs is not None:
                 ref_blochs = np.array([bloch_of_state(c) for c in cands])

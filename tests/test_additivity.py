@@ -9,19 +9,34 @@ from holevo_lab.additivity import (
     REPORT_COLUMNS,
     bell_state,
     report_row,
-    two_qubit_state_grid,
     werner_state,
     write_report_csv,
 )
 from holevo_lab.capacity import SolverOptions
 from holevo_lab.channels import Channel
-from holevo_lab.opalg import random_density, trace_norm
+from holevo_lab.opalg import random_density, random_pure, trace_norm
 
 LOG2 = math.log(2.0)
 
 
 def h2(q):
     return -q * math.log(q) - (1 - q) * math.log(1 - q)
+
+
+def two_qubit_state_grid(seed: int = 42, n_pure: int = 32,
+                         n_mixed: int = 32) -> list[hl.DensityOperator]:
+    """Fixed seeded grid: canonical states plus Haar-like pure and
+    Ginibre mixed samples."""
+    rng = np.random.default_rng(seed)
+    states = [
+        hl.DensityOperator.pure(np.array([1, 0, 0, 0], dtype=complex)),
+        bell_state(),
+        werner_state(0.25),
+        werner_state(0.75),
+    ]
+    states += [random_pure(rng, 4) for _ in range(n_pure)]
+    states += [random_density(rng, 4) for _ in range(n_mixed)]
+    return states
 
 
 def partial_trace_channel():

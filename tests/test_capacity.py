@@ -436,11 +436,38 @@ def _slsqp_finish(objective, gradient, w, obj):
     return max(obj, objective(x / x.sum())[0])
 
 
+def _multiplicative_ascent(objective, gradient, w0, max_iter=2000, stat_tol=1e-11):
+    """The capped exponentiated-gradient ascent the weight solver ran
+    before its converged solves, backtracked; returns (w, chi)."""
+    w = _optim.project_simplex(np.asarray(w0, dtype=float))
+    obj, avg = objective(w)
+    t = 1.0
+    for _ in range(max_iter):
+        grad = gradient(avg)
+        if float(np.max(grad) - grad @ w) <= stat_tol:
+            break
+        for _ in range(60):
+            scaled = w * np.exp(min(t, 60.0) * (grad - np.max(grad)))
+            total = scaled.sum()
+            w_new = scaled / total if total > 0.0 else w
+            obj_new, avg_new = objective(w_new)
+            if obj_new > obj + 1e-15:
+                w, obj, avg = w_new, obj_new, avg_new
+                t *= 1.5
+                break
+            t *= 0.5
+            if t < 1e-13:
+                return w, obj
+        else:
+            return w, obj
+    return w, obj
+
+
 def _reference_chi(backend, w0):
     """chi from the capped multiplicative ascent plus the SLSQP finisher."""
     objective, gradient = backend[:2]
-    start = _optim._ascend((objective, gradient), w0, None, 2000, 1e-11)
-    return _slsqp_finish(objective, gradient, start.w, start.chi)
+    w, chi = _multiplicative_ascent(objective, gradient, w0)
+    return _slsqp_finish(objective, gradient, w, chi)
 
 
 def test_maximize_chi_weights_matches_eigh_reference(rng):
@@ -479,6 +506,19 @@ def test_maximize_chi_weights_converges_on_matrix_outputs(rng):
         sol = _optim.maximize_chi_weights(outs, w0)
         assert sol.stop == "converged" and sol.gap <= 1e-11
         assert sol.chi == pytest.approx(_reference_chi(backend, w0), abs=1e-10)
+
+
+def test_column_generation_converges_on_matrix_outputs(rng):
+    # the capacity solver's grid seed on 2 -> 3 channels: column
+    # generation over the 256 grid outputs, against the active-set solve
+    # over all of them from uniform weights
+    psis = _optim.qubit_pure_states(_kernels.fibonacci_sphere(256))
+    w0 = np.full(len(psis), 1.0 / len(psis))
+    for rank in (2, 3, 4):
+        outs = _optim.batch_outputs_pure(hl.random_channel(rng, 2, 3, rank), psis)
+        sol = _optim.column_generation(_optim.matrix_backend(outs), w0)
+        assert sol.stop == "converged" and sol.gap <= 1e-10
+        assert sol.chi == pytest.approx(_optim.maximize_chi_weights(outs, w0).chi, abs=1e-10)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
