@@ -203,24 +203,24 @@ def maximize_chi_weights(outs: np.ndarray, w0: np.ndarray, projector=None,
     return _ascend(backend, w0, projector, max_iter, stat_tol)
 
 
-def column_generation(backend, w0: np.ndarray) -> WeightSolve:
-    """Bare-simplex weight solve over many members on a weight backend,
+def column_generation(backend, m: int) -> WeightSolve:
+    """Bare-simplex weight solve over the m members of a weight backend,
     of which few end up live.  Starts from the member of largest
-    divergence to the average of w0; each Newton step of the active-set
+    divergence to the uniform average; each Newton step of the active-set
     solve runs on the live members plus the 8 members of largest
     gradient, and the Frank-Wolfe gap is taken over all members.  Stops
     at a gap of 1e-10, when no step is accepted, or after 1000 steps."""
     objective, gradient = backend[:2]
-    _, avg = objective(np.asarray(w0, dtype=float))
-    start = np.zeros(len(w0))
+    _, avg = objective(np.full(m, 1.0 / m))
+    start = np.zeros(m)
     start[int(np.argmax(gradient(avg)))] = 1.0
     return _active_set_solve(backend, start, 1000, 1e-10, batch=8)
 
 
-def maximize_chi_weights_bloch(blochs: np.ndarray, w0: np.ndarray) -> WeightSolve:
+def maximize_chi_weights_bloch(blochs: np.ndarray) -> WeightSolve:
     """column_generation for qubit outputs given as Bloch vectors (m, 3),
     with the divergences of _kernels.relent_pairwise as the gradient."""
-    return column_generation(bloch_backend(blochs, pure_ref=True), w0)
+    return column_generation(bloch_backend(blochs, pure_ref=True), len(blochs))
 
 
 def _ascend(backend, w0, projector, max_iter: int, stat_tol: float) -> WeightSolve:

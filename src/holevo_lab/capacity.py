@@ -300,10 +300,9 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
         blochs = _kernels.fibonacci_sphere(256)
         psis = _optim.qubit_pure_states(blochs)
         outs0 = _optim.batch_outputs_pure(channel, psis)
-        w0 = _optim.column_generation(_optim.weight_backend(outs0),
-                                      np.full(len(psis), 1.0 / len(psis))).w
-        tops = np.argsort(w0)[::-1][:8]
-        return [psis[i] for i in tops if w0[i] > 1e-8]
+        w_grid = _optim.column_generation(_optim.weight_backend(outs0), len(psis)).w
+        tops = np.argsort(w_grid)[::-1][:8]
+        return [psis[i] for i in tops if w_grid[i] > 1e-8]
 
     grid_seeded = not (d == 2 and not _is_classical(channel))
 
@@ -595,17 +594,17 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
         a = np.real(np.einsum("gi,ij,gj->g", psis.conj(), hmat, psis))
 
     # --- lower bound: ensemble weights on the grid
-    w0 = np.full(resolution, 1.0 / resolution)
     if isinstance(constraint, Unconstrained):
         if out_blochs is not None:
-            w, lower = _optim.maximize_chi_weights_bloch(out_blochs, w0)[:2]
+            w, lower = _optim.maximize_chi_weights_bloch(out_blochs)[:2]
         else:
-            w, lower = _optim.column_generation(_optim.matrix_backend(outs), w0)[:2]
+            w, lower = _optim.column_generation(
+                _optim.matrix_backend(outs), resolution)[:2]
     elif isinstance(constraint, ExpectationBound):
         proj = lambda v: _optim.project_simplex_halfspace(v, a, constraint.h)
         if out_blochs is not None:
             objective, gradient, _ = _optim.bloch_backend(out_blochs, pure_ref=True)
-            w = proj(w0)
+            w = proj(np.full(resolution, 1.0 / resolution))
             lower = -math.inf
             for _ in range(400):
                 w_new = proj(w + 0.5 * gradient(w @ out_blochs))

@@ -516,7 +516,7 @@ def test_column_generation_converges_on_matrix_outputs(rng):
     w0 = np.full(len(psis), 1.0 / len(psis))
     for rank in (2, 3, 4):
         outs = _optim.batch_outputs_pure(hl.random_channel(rng, 2, 3, rank), psis)
-        sol = _optim.column_generation(_optim.matrix_backend(outs), w0)
+        sol = _optim.column_generation(_optim.matrix_backend(outs), len(psis))
         assert sol.stop == "converged" and sol.gap <= 1e-10
         assert sol.chi == pytest.approx(_optim.maximize_chi_weights(outs, w0).chi, abs=1e-10)
 
@@ -637,7 +637,7 @@ def test_oracle_weights_certify_full_grid_gap():
             continue
         tm, tv = bloch_map(ch)
         outs = blochs @ tm.T + tv[None, :]
-        sol = _optim.maximize_chi_weights_bloch(outs, np.full(len(outs), 1.0 / len(outs)))
+        sol = _optim.maximize_chi_weights_bloch(outs)
         g = _kernels.relent_pairwise(outs, (sol.w @ outs)[None, :])[:, 0]
         assert sol.stop == "converged"
         assert float(np.max(g) - g @ sol.w) <= 1e-10
