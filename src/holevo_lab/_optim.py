@@ -20,6 +20,10 @@ from .opalg import entropy_batch, entropy_raw, logm_psd
 
 LOG_FLOOR = 1e-300
 
+#: pure seed states per inner search on inputs of dimension >= 3
+#: (radius_sup polishes the best half of them)
+MULTISTART = 32
+
 
 # ---------------------------------------------------------------------------
 # projections
@@ -36,10 +40,10 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def project_simplex_halfspace(v: np.ndarray, a: np.ndarray, h: float,
-                              tol: float = 1e-12) -> np.ndarray:
+def project_simplex_halfspace(v: np.ndarray, a: np.ndarray, h: float) -> np.ndarray:
     """Projection onto {w in simplex : a.w <= h} by bisection on the
-    halfspace multiplier."""
+    halfspace multiplier, to a relative width of 1e-12."""
+    tol = 1e-12
     w = project_simplex(v)
     if a @ w <= h + tol:
         return w
@@ -67,17 +71,18 @@ def project_affine_factory(a: np.ndarray, b: np.ndarray):
     return proj
 
 
-def dykstra(v: np.ndarray, projectors, iters: int = 500, tol: float = 1e-9) -> np.ndarray:
-    """Dykstra's alternating projections onto an intersection of convex sets."""
+def dykstra(v: np.ndarray, projectors) -> np.ndarray:
+    """Dykstra's alternating projections onto an intersection of convex
+    sets: 400 sweeps, or until a sweep moves no entry by 1e-10."""
     x = v.copy()
     corrections = [np.zeros_like(v) for _ in projectors]
-    for _ in range(iters):
+    for _ in range(400):
         x_prev = x.copy()
         for i, proj in enumerate(projectors):
             y = proj(x + corrections[i])
             corrections[i] = x + corrections[i] - y
             x = y
-        if np.max(np.abs(x - x_prev)) < tol:
+        if np.max(np.abs(x - x_prev)) < 1e-10:
             break
     return x
 
@@ -187,20 +192,20 @@ def weight_backend(outs: np.ndarray):
 
 
 def maximize_chi_weights(outs: np.ndarray, w0: np.ndarray, projector=None,
-                         max_iter: int = 2000, stat_tol: float = 1e-11) -> WeightSolve:
+                         max_iter: int = 2000) -> WeightSolve:
     """Maximize H(sum_i w_i Y_i) - sum_i w_i H(Y_i) over feasible weights.
 
     outs: stack (m, d, d) of member outputs, on weight_backend.  On the
     bare simplex (projector None) an active-set Newton solve runs from w0
-    until the Frank-Wolfe gap is at most stat_tol; a custom feasible-set
+    until the Frank-Wolfe gap is at most 1e-11; a custom feasible-set
     projector switches to Euclidean projected ascent (see _ascend),
     capped at max_iter steps.  For many members of which few carry
     weight, column_generation is the faster bare-simplex solve.
     """
     backend = weight_backend(outs)
     if projector is None:
-        return _active_set_solve(backend, w0, max_iter, stat_tol)
-    return _ascend(backend, w0, projector, max_iter, stat_tol)
+        return _active_set_solve(backend, w0, max_iter, 1e-11)
+    return _ascend(backend, w0, projector, max_iter, 1e-11)
 
 
 def column_generation(backend, m: int) -> WeightSolve:
@@ -393,25 +398,29 @@ def seed_pure_states(d: int, count: int, rng: np.random.Generator) -> np.ndarray
     return np.stack(seeds[:max(count, len(seeds))])
 
 
+def pure_value(channel: Channel, log_ref: np.ndarray, psi: np.ndarray,
+               linear: np.ndarray | None = None):
+    """(f(psi), Phi(psi)) for f(psi) = H(Phi(psi)||ref) - <psi|L|psi>,
+    with log_ref the log of ref."""
+    y = channel.apply_pure_raw(psi)
+    lam = np.maximum(np.linalg.eigvalsh(y), 0.0)
+    nz = lam[lam > 0.0]
+    val = float(np.sum(nz * np.log(nz))) - float(np.real(np.trace(y @ log_ref)))
+    if linear is not None:
+        val -= float(np.real(psi.conj() @ (linear @ psi)))
+    return val, y
+
+
 def pure_ascent(channel: Channel, log_ref: np.ndarray, psi0: np.ndarray,
-                linear: np.ndarray | None = None, iters: int = 150,
-                f_tol: float = 1e-13):
-    """Monotone fixed-point ascent of f(psi) = H(Phi(psi)||ref) - <psi|L|psi>.
+                linear: np.ndarray | None = None, iters: int = 150):
+    """Monotone fixed-point ascent of f(psi) = H(Phi(psi)||ref) - <psi|L|psi>
+    (see pure_value), until a step gains at most 1e-13.
 
     Maximizing a convex function of the input state by repeatedly moving
     to the top eigenvector of the gradient; each step cannot decrease f.
     """
-    def f_of(psi):
-        y = channel.apply_pure_raw(psi)
-        lam = np.maximum(np.linalg.eigvalsh(y), 0.0)
-        nz = lam[lam > 0.0]
-        val = float(np.sum(nz * np.log(nz))) - float(np.real(np.trace(y @ log_ref)))
-        if linear is not None:
-            val -= float(np.real(psi.conj() @ (linear @ psi)))
-        return val, y
-
     psi = psi0 / np.linalg.norm(psi0)
-    val, y = f_of(psi)
+    val, y = pure_value(channel, log_ref, psi, linear)
     for _ in range(iters):
         lam, u = np.linalg.eigh(y)
         log_y = (u * np.log(np.maximum(lam, LOG_FLOOR))) @ u.conj().T
@@ -420,8 +429,8 @@ def pure_ascent(channel: Channel, log_ref: np.ndarray, psi0: np.ndarray,
             grad = grad - linear
         w, vecs = np.linalg.eigh(grad)
         cand = vecs[:, -1]
-        new_val, new_y = f_of(cand)
-        if new_val <= val + f_tol:
+        new_val, new_y = pure_value(channel, log_ref, cand, linear)
+        if new_val <= val + 1e-13:
             break
         psi, val, y = cand, new_val, new_y
     return val, psi
@@ -446,24 +455,15 @@ def batch_outputs_pure(channel: Channel, psis: np.ndarray) -> np.ndarray:
 
 def relent_to_ref_batch(outs: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """H(Y_g || ref) with the pseudo-log of ref (caller rules out escapes)."""
-    log_ref = logm_psd(ref)
-    lam = np.maximum(np.linalg.eigvalsh(outs), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(lam > 0.0, lam * np.log(np.maximum(lam, LOG_FLOOR)), 0.0)
-    tr_y_logy = np.sum(terms, axis=-1)
-    cross = np.real(np.einsum("gij,ji->g", outs, log_ref))
-    return tr_y_logy - cross
+    cross = np.real(np.einsum("gij,ji->g", outs, logm_psd(ref)))
+    return -entropy_batch(outs) - cross
 
 
-def escape_mass(channel: Channel, ref: np.ndarray, rank_tol: float = 1e-10) -> float:
-    """Largest feasible output mass outside the support of ref."""
-    return escape_witness(channel, ref, rank_tol)[0]
-
-
-def escape_witness(channel: Channel, ref: np.ndarray, rank_tol: float = 1e-10):
-    """(mass, pure input) with the largest output weight outside supp ref."""
+def escape_witness(channel: Channel, ref: np.ndarray):
+    """(mass, pure input) with the largest output weight outside supp ref,
+    the eigenspace of eigenvalues <= 1e-10."""
     lam, u = np.linalg.eigh(ref)
-    kill = lam <= rank_tol
+    kill = lam <= 1e-10
     if not np.any(kill):
         return 0.0, None
     uk = u[:, kill]
@@ -472,21 +472,27 @@ def escape_witness(channel: Channel, ref: np.ndarray, rank_tol: float = 1e-10):
     return float(w[-1]), vecs[:, -1]
 
 
-def _basis_states(d: int) -> np.ndarray:
-    return np.eye(d, dtype=complex)
+def _is_classical(channel: Channel, linear: np.ndarray | None = None) -> bool:
+    """A channel tagged classical, with a diagonal linear term if any:
+    the divergence sup is then attained on the basis states."""
+    if "classical" not in channel.tags:
+        return False
+    if linear is None:
+        return True
+    off = linear - np.diag(np.diagonal(linear))
+    return bool(np.max(np.abs(off)) < 1e-12)
 
 
 def radius_sup(channel: Channel, ref: np.ndarray, rng: np.random.Generator,
-               multistart: int = 32, grid: int = 4096,
-               linear: np.ndarray | None = None,
-               classical: bool = False, polish: bool = True):
+               grid: int = 4096, linear: np.ndarray | None = None,
+               polish: bool = True):
     """sup over pure inputs of H(Phi(psi)||ref) - <psi|L|psi>.
 
     Returns (value, argmax_vectors, certified).  certified is True when
     the sup is exact up to grid refinement: classical channels (vertex
-    property of the dephased simplex) and qubit inputs (dense Bloch grid
-    plus local polish).  polish=False skips the fixed-point ascent, for
-    callers that only need a cheap ranking.
+    property of the dephased simplex, see _is_classical) and qubit inputs
+    (dense Bloch grid plus local polish).  polish=False skips the
+    fixed-point ascent, for callers that only need a cheap ranking.
     """
     d = channel.d_in
     if linear is None:
@@ -504,8 +510,8 @@ def radius_sup(channel: Channel, ref: np.ndarray, rng: np.random.Generator,
             vals = vals - np.real(np.einsum("gi,ij,gj->g", psis.conj(), linear, psis))
         return vals
 
-    if classical:
-        psis = _basis_states(d)
+    if _is_classical(channel, linear):
+        psis = np.eye(d, dtype=complex)
         vals = value_of(psis)
         order = np.argsort(vals)[::-1]
         return float(vals[order[0]]), [psis[i] for i in order[:2]], True
@@ -515,7 +521,7 @@ def radius_sup(channel: Channel, ref: np.ndarray, rng: np.random.Generator,
         psis = qubit_pure_states(blochs)
         certify = True
     else:
-        psis = seed_pure_states(d, multistart, rng)
+        psis = seed_pure_states(d, MULTISTART, rng)
         certify = False
     vals = value_of(psis)
     order = np.argsort(vals)[::-1]
@@ -523,7 +529,7 @@ def radius_sup(channel: Channel, ref: np.ndarray, rng: np.random.Generator,
     if not polish:
         return best_val, [psis[i] for i in order[:2]], certify
     args = []
-    n_polish = 8 if d == 2 else max(8, multistart // 2)
+    n_polish = 8 if d == 2 else MULTISTART // 2
     for idx in order[:n_polish]:
         v, p = pure_ascent(channel, log_ref, psis[idx], linear=linear)
         args.append((v, p))
@@ -537,9 +543,9 @@ def radius_sup(channel: Channel, ref: np.ndarray, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 # convex closure of the output entropy: decomposition searches
 
-def _spectral_factors(rho: np.ndarray, cutoff: float = 1e-12):
+def _spectral_factors(rho: np.ndarray):
     lam, u = np.linalg.eigh(rho)
-    keep = lam > cutoff
+    keep = lam > 1e-12
     return u[:, keep], np.sqrt(lam[keep])
 
 
@@ -718,19 +724,14 @@ def hhat_isometry_search(channel: Channel, rho: np.ndarray,
 
 # -- qubit fast path: convex hull of the output-entropy surface on the sphere
 
-def make_qubit_surface(channel: Channel):
-    """Output-entropy function over Bloch directions, built once."""
+def qubit_grid_outputs(channel: Channel, blochs: np.ndarray):
+    """Outputs of the pure qubit inputs with Bloch vectors blochs (G, 3):
+    (output Bloch vectors (G, 3), None) for qubit outputs, by the affine
+    Bloch map, and (None, output stack (G, d, d)) otherwise."""
     if channel.d_out == 2:
         tm, tv = bloch_map(channel)
-
-        def surface(blochs):
-            vout = blochs @ tm.T + tv[None, :]
-            return _kernels.entropy_from_radius(np.linalg.norm(vout, axis=1))
-    else:
-        def surface(blochs):
-            outs = batch_outputs_pure(channel, qubit_pure_states(blochs))
-            return entropy_batch(outs)
-    return surface
+        return blochs @ tm.T + tv[None, :], None
+    return None, batch_outputs_pure(channel, qubit_pure_states(blochs))
 
 
 def hhat_qubit(channel: Channel, rho: np.ndarray, grid: int = 512):
@@ -739,10 +740,11 @@ def hhat_qubit(channel: Channel, rho: np.ndarray, grid: int = 512):
     Returns (value, weights, unit member vectors (k, 2))."""
     b = bloch_of_state(rho)
     rb = np.linalg.norm(b)
-    surface = make_qubit_surface(channel)
     bhat = b / rb if rb > 1e-14 else np.array([0.0, 0.0, 1.0])
     pts = np.vstack([_kernels.fibonacci_sphere(grid), bhat[None, :], -bhat[None, :]])
-    vals = surface(pts)
+    out_blochs, outs = qubit_grid_outputs(channel, pts)
+    vals = entropy_batch(outs) if out_blochs is None else \
+        _kernels.entropy_from_radius(np.linalg.norm(out_blochs, axis=1))
 
     res = sciopt.linprog(vals,
                          A_eq=np.vstack([pts.T, np.ones(len(pts))]),
@@ -757,7 +759,7 @@ def hhat_qubit(channel: Channel, rho: np.ndarray, grid: int = 512):
 
 
 def hhat_search(channel: Channel, rho: np.ndarray, rng: np.random.Generator,
-                starts: int = 8, grid: int = 512, m: int | None = None):
+                starts: int = 8, grid: int = 512):
     """Dispatch: for qubit inputs a grid LP locates the hull structure
     and warm-starts the isometry descent; isometry search otherwise.  The
     descent uses the Bloch backend for qubit -> qubit channels and the
@@ -773,4 +775,4 @@ def hhat_search(channel: Channel, rho: np.ndarray, rng: np.random.Generator,
         if val2 < val - 1e-12:
             return val2, w2, mats2
         return val, w, [np.outer(v, v.conj()) for v in vecs]
-    return hhat_isometry_search(channel, rho, rng, starts=starts, m=m)
+    return hhat_isometry_search(channel, rho, rng, starts=starts)

@@ -10,10 +10,9 @@ single-channel optimal outputs.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .capacity import (
     Unconstrained,
     UNCONSTRAINED,
     _merge_opts,
-    _radius_unconstrained,
     _solve_support_problem,
     chi_function,
     convex_closure_output_entropy,
@@ -85,22 +83,25 @@ def _marginal_rows(side: ConstraintSet, dims: tuple[int, int], which: int,
 
 def _product_projector_factory(pc: ProductConstraint, dims: tuple[int, int]):
     def factory(support):
+        rows = [_marginal_rows(side, dims, which, support)
+                for side, which in ((pc.left, 0), (pc.right, 1))]
+        rows = [row for row in rows if row is not None]
+        if not rows:
+            return None  # bare simplex
+        if len(rows) == 1 and rows[0][0] == "halfspace":
+            # one energy bound: the exact projection (Dykstra's iterate
+            # ends on the halfspace step and can leave the simplex)
+            _, a, h = rows[0]
+            return lambda w: _optim.project_simplex_halfspace(w, a, h)
         sets = []
-        for side, which in ((pc.left, 0), (pc.right, 1)):
-            row = _marginal_rows(side, dims, which, support)
-            if row is None:
-                continue
-            kind, a, b = row
+        for kind, a, b in rows:
             if kind == "affine":
                 sets.append(_optim.project_affine_factory(a, b))
             else:
-                aa, hh = a, b
-                sets.append(lambda w, aa=aa, hh=hh:
+                sets.append(lambda w, aa=a, hh=b:
                             w if aa @ w <= hh else w - ((aa @ w - hh) / (aa @ aa)) * aa)
-        if not sets:
-            return None  # bare simplex
         projs = [_optim.project_simplex] + sets
-        return lambda w: _optim.dykstra(w, projs, iters=400, tol=1e-10)
+        return lambda w: _optim.dykstra(w, projs)
     return factory
 
 
@@ -133,7 +134,9 @@ def joint_capacity(phi: Channel, psi: Channel, pc: ProductConstraint,
     The support is seeded with products of single-channel witness states,
     which makes the one-sided bound lhs >= rhs_left + rhs_right automatic
     up to solver tolerance.  The upper bound for the joint problem comes
-    from non-exhaustive inner maximization and is flagged heuristic.
+    from non-exhaustive inner maximization and is flagged heuristic; under
+    a constraint it is the unconstrained divergence radius, valid but
+    loose.
     """
     opts = _merge_opts(opts, **kw)
     joint = tensor_channel(phi, psi)
@@ -151,25 +154,16 @@ def joint_capacity(phi: Channel, psi: Channel, pc: ProductConstraint,
         for _, rb in right.witness.items:
             seeds.append(np.kron(_pure_vector(ra.mat), _pure_vector(rb.mat)))
 
-    both_unconstrained = isinstance(pc.left, Unconstrained) and isinstance(pc.right, Unconstrained)
-    if both_unconstrained:
-        projector_factory = None
-        radius_fn = None
-        constraint = UNCONSTRAINED
-    else:
-        projector_factory = _product_projector_factory(pc, dims)
-        rng = np.random.default_rng(opts.seed)
-        # unconstrained radius is a valid (possibly loose) upper bound
-        radius_fn = lambda ref, o: _radius_unconstrained(joint, ref, rng, o)[:2] + (False,)
-        constraint = UNCONSTRAINED
-
-    result = _solve_support_problem(joint, constraint, opts,
+    constrained = not (isinstance(pc.left, Unconstrained)
+                       and isinstance(pc.right, Unconstrained))
+    projector_factory = _product_projector_factory(pc, dims) if constrained else None
+    result = _solve_support_problem(joint, UNCONSTRAINED, opts,
                                     projector_factory=projector_factory,
-                                    radius_fn=radius_fn, extra_seeds=seeds)
+                                    extra_seeds=seeds)
     from .ensembles import average_state
     if not pc.is_member(average_state(result.witness).mat, dims):
         raise RuntimeError("joint witness violates the product constraint")
-    return result
+    return replace(result, heuristic_upper=True) if constrained else result
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +216,7 @@ def _moe_search(channel: Channel, opts: SolverOptions,
         tops = np.argsort(hs)[:8]
         seeds = list(_optim.qubit_pure_states(blochs[tops]))
     else:
-        seeds = list(_optim.seed_pure_states(d, opts.multistart, rng))
+        seeds = list(_optim.seed_pure_states(d, _optim.MULTISTART, rng))
     seeds.extend(np.asarray(s, dtype=complex) for s in extra_seeds)
     best_val, best_psi = math.inf, None
     for psi in seeds:
@@ -306,18 +300,6 @@ REPORT_COLUMNS = [
 ]
 
 
-def write_report_csv(path: str, rows: list[dict], include_runtime: bool = False):
-    """CSV report: one row per instance (header mandatory, '.' decimal)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            if not include_runtime:
-                out["runtime_s"] = ""
-            writer.writerow(out)
-
-
 def report_row(report: AdditivityReport, left_label: str, right_label: str,
                constraint_label: str = "unconstrained") -> dict:
     fmt = lambda x: f"{x:.12g}"
@@ -336,21 +318,4 @@ def report_row(report: AdditivityReport, left_label: str, right_label: str,
         "omega_residual": fmt(report.omega_product_residual),
         "runtime_s": f"{report.runtime_s:.3f}",
     }
-
-
-# ---------------------------------------------------------------------------
-# canonical two-qubit states
-
-def bell_state() -> DensityOperator:
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1.0 / math.sqrt(2.0)
-    return DensityOperator.pure(v)
-
-
-def werner_state(q: float) -> DensityOperator:
-    """q |Psi-><Psi-| + (1-q) I/4."""
-    v = np.zeros(4, dtype=complex)
-    v[1], v[2] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
-    singlet = np.outer(v, v.conj())
-    return DensityOperator(q * singlet + (1.0 - q) * np.eye(4) / 4.0)
 

@@ -97,16 +97,22 @@ def constraint_satisfied(constraint: ConstraintSet, rho: np.ndarray,
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Settings of the capacity and convex-closure solvers.
+
+    tol: the bracket width at which the capacity solver stops.
+    max_iter: step cap of each ensemble-weight solve.
+    seed: seed of the generator behind every randomized inner search.
+    grid: Bloch-grid size of the qubit divergence sup.
+    hhat_grid: Bloch-grid size of the qubit convex-closure LP.
+    hhat_starts: starts of the convex-closure isometry descent.
+    """
+
     tol: float = 1e-6
     max_iter: int = 10_000
     seed: int = 42
-    multistart: int = 32
     grid: int = 4096
     hhat_grid: int = 512
     hhat_starts: int = 8
-    support_cap: int | None = None
-    max_outer: int = 200
-    seed_vectors: tuple = ()
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -153,26 +159,14 @@ def output_optimal_average(result: CapacityResult) -> DensityOperator:
 # ---------------------------------------------------------------------------
 # divergence radius (the minimax upper bound)
 
-def _is_classical(channel: Channel, linear: np.ndarray | None = None) -> bool:
-    if "classical" not in channel.tags:
-        return False
-    if linear is None:
-        return True
-    off = linear - np.diag(np.diagonal(linear))
-    return bool(np.max(np.abs(off)) < 1e-12)
-
-
 def _radius_unconstrained(channel: Channel, ref: np.ndarray,
-                          rng: np.random.Generator, opts: SolverOptions,
-                          linear: np.ndarray | None = None):
-    return _optim.radius_sup(channel, ref, rng, multistart=opts.multistart,
-                             grid=opts.grid, linear=linear,
-                             classical=_is_classical(channel, linear))
+                          rng: np.random.Generator, opts: SolverOptions):
+    return _optim.radius_sup(channel, ref, rng, grid=opts.grid)
 
 
-def _ground_subchannel(channel: Channel, hmat: np.ndarray, tol: float = 1e-10):
+def _ground_subchannel(channel: Channel, hmat: np.ndarray):
     lam, u = np.linalg.eigh(hmat)
-    keep = lam <= lam.min() + tol
+    keep = lam <= lam.min() + 1e-10
     eg = u[:, keep]
     ks = tuple(k @ eg for k in channel.kraus)
     return Channel(ks, tags=channel.tags), eg
@@ -196,10 +190,8 @@ def _radius_expectation(channel: Channel, bound: ExpectationBound,
         return math.inf, [esc], True
 
     def g(lmb: float, polish: bool):
-        val, states, cert = _optim.radius_sup(
-            channel, ref, rng, multistart=opts.multistart, grid=opts.grid,
-            linear=lmb * hmat, classical=_is_classical(channel, lmb * hmat),
-            polish=polish)
+        val, states, cert = _optim.radius_sup(channel, ref, rng, grid=opts.grid,
+                                              linear=lmb * hmat, polish=polish)
         return lmb * bound.h + val, states, cert
 
     # locate the envelope minimum on cheap unpolished sups, then certify
@@ -258,11 +250,11 @@ def divergence_radius_at(channel: Channel, constraint: ConstraintSet,
 # ---------------------------------------------------------------------------
 # the capacity solver
 
-def _dedupe_append(support: list[np.ndarray], cands, overlap: float = 1.0 - 1e-10) -> int:
+def _dedupe_append(support: list[np.ndarray], cands) -> int:
     added = 0
     for c in cands:
         c = c / np.linalg.norm(c)
-        if all(abs(np.vdot(s, c)) ** 2 < overlap for s in support):
+        if all(abs(np.vdot(s, c)) ** 2 < 1.0 - 1e-10 for s in support):
             support.append(c)
             added += 1
     return added
@@ -280,18 +272,17 @@ def _weight_projector(constraint: ConstraintSet, support: list[np.ndarray]):
 
 def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
                            opts: SolverOptions, projector_factory=None,
-                           radius_fn=None, extra_seeds=()) -> CapacityResult:
+                           extra_seeds=()) -> CapacityResult:
     t0 = time.monotonic()
     rng = np.random.default_rng(opts.seed)
     d = channel.d_in
-    cap = opts.support_cap or max(2 * d * d, 16)
+    cap = max(2 * d * d, 16)
 
     support: list[np.ndarray] = []
     _dedupe_append(support, list(np.eye(d, dtype=complex)))
     if isinstance(constraint, ExpectationBound):
         _, u = np.linalg.eigh(constraint.H.mat)
         _dedupe_append(support, list(u.T))
-    _dedupe_append(support, [np.asarray(v, dtype=complex) for v in opts.seed_vectors])
     _dedupe_append(support, [np.asarray(v, dtype=complex) for v in extra_seeds])
 
     def _grid_seed_states():
@@ -304,15 +295,14 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
         tops = np.argsort(w_grid)[::-1][:8]
         return [psis[i] for i in tops if w_grid[i] > 1e-8]
 
-    grid_seeded = not (d == 2 and not _is_classical(channel))
+    grid_seeded = not (d == 2 and "classical" not in channel.tags)
 
     if projector_factory is None:
         projector_factory = lambda sup: _weight_projector(constraint, sup)
-    if radius_fn is None:
-        if isinstance(constraint, ExpectationBound):
-            radius_fn = lambda ref, o: _radius_expectation(channel, constraint, ref, rng, o)
-        else:
-            radius_fn = lambda ref, o: _radius_unconstrained(channel, ref, rng, o)
+    if isinstance(constraint, ExpectationBound):
+        radius_fn = lambda ref, o: _radius_expectation(channel, constraint, ref, rng, o)
+    else:
+        radius_fn = lambda ref, o: _radius_unconstrained(channel, ref, rng, o)
     coarse_opts = opts if opts.grid <= 1024 else replace(opts, grid=1024)
 
     mix_out = channel.apply_raw(np.eye(d, dtype=complex) / d)
@@ -324,7 +314,7 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
     outer = 0
     best_gap = math.inf
     stagnant = 0
-    for outer in range(1, opts.max_outer + 1):
+    for outer in range(1, 201):
         outs = _optim.batch_outputs_pure(channel, np.stack(support))
         projector = projector_factory(support)
         if w is None:
@@ -362,7 +352,7 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
         # the current output (in addition to the global argmax states)
         polish = []
         if not math.isinf(upper):
-            log_oc = _optim.logm_psd(omega_cert, rank_tol=1e-300)
+            log_oc = logm_psd(omega_cert, rank_tol=1e-300)
             for idx in np.argsort(w)[::-1][:8]:
                 if w[idx] > 1e-10:
                     _, p = _optim.pure_ascent(channel, log_oc, support[idx], iters=60)
@@ -482,15 +472,6 @@ def feasible_point_bound_check(channel: Channel, constraint: ConstraintSet,
 # ---------------------------------------------------------------------------
 # brute-force oracle for qubit inputs
 
-def _qubit_grid_outputs(channel: Channel, blochs: np.ndarray):
-    """(bloch vectors | None, output stack | None) of grid pure states."""
-    if channel.d_out == 2:
-        tm, tv = bloch_map(channel)
-        return blochs @ tm.T + tv[None, :], None
-    outs = _optim.batch_outputs_pure(channel, _optim.qubit_pure_states(blochs))
-    return None, outs
-
-
 @functools.lru_cache(maxsize=4)
 def _grid_neighbours(resolution: int) -> np.ndarray:
     """Indices (resolution, 8) of the 8 nearest points to each point of
@@ -516,11 +497,12 @@ def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
     known."""
     if out_blochs is not None:
         ref_b = bloch_of_state(ref_mat)
-        if np.linalg.norm(ref_b) >= 1.0 - 1e-12 and _optim.escape_mass(channel, ref_mat) > 1e-8:
+        if np.linalg.norm(ref_b) >= 1.0 - 1e-12 \
+                and _optim.escape_witness(channel, ref_mat)[0] > 1e-8:
             return math.inf
         vals = _kernels.relent_to_ref(out_blochs, ref_b, out_hs)
     else:
-        if _optim.escape_mass(channel, ref_mat) > 1e-8:
+        if _optim.escape_witness(channel, ref_mat)[0] > 1e-8:
             return math.inf
         vals = _optim.relent_to_ref_batch(outs, ref_mat)
     best = float(np.max(vals))
@@ -550,11 +532,7 @@ def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
             th, ph = ang
             psi = np.array([math.cos(th / 2.0),
                             complex(math.cos(ph), math.sin(ph)) * math.sin(th / 2.0)])
-            y = channel.apply_pure_raw(psi)
-            lam = np.maximum(np.linalg.eigvalsh(y), 0.0)
-            nz = lam[lam > 0.0]
-            return -(float(np.sum(nz * np.log(nz)))
-                     - float(np.real(np.trace(y @ log_ref))))
+            return -_optim.pure_value(channel, log_ref, psi)[0]
 
     for idx in peaks:
         u = blochs[idx]
@@ -583,7 +561,7 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
     if channel.d_in != 2:
         raise DimensionMismatch("brute force oracle supports d_in = 2 only")
     blochs = _kernels.fibonacci_sphere(resolution)
-    out_blochs, outs = _qubit_grid_outputs(channel, blochs)
+    out_blochs, outs = _optim.qubit_grid_outputs(channel, blochs)
     out_hs = None if out_blochs is None else \
         _kernels.entropy_from_radius(np.linalg.norm(out_blochs, axis=1))
 
@@ -651,7 +629,7 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
         out_rho = channel.apply_raw(constraint.rho.mat)
         log_terms = []
         for ref in cands:
-            if _optim.escape_mass(channel, ref) > 1e-8:
+            if _optim.escape_witness(channel, ref)[0] > 1e-8:
                 continue
             log_terms.append(float(np.real(np.trace(out_rho @ logm_psd(ref)))))
         hhat_grid = entropy_raw(channel.apply_raw(constraint.rho.mat)) - lower

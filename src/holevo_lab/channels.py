@@ -108,8 +108,8 @@ def tensor_channel(a: Channel, b: Channel) -> Channel:
     return Channel(_prune_kraus(ks), tags=frozenset())
 
 
-def _prune_kraus(ks, tol: float = 1e-14):
-    kept = [k for k in ks if np.max(np.abs(k)) > tol]
+def _prune_kraus(ks):
+    kept = [k for k in ks if np.max(np.abs(k)) > 1e-14]
     return kept or ks[:1]
 
 

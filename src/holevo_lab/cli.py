@@ -10,6 +10,8 @@ emitted only with --timing.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -59,6 +61,20 @@ def _round12(obj):
 
 def _write_json(payload: dict, out_path: str | None):
     text = json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n"
+    if out_path:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
+
+
+def _write_csv(fieldnames: list[str], rows: list[dict], out_path: str | None):
+    """CSV with a header line and LF line ends, to out_path (if given) and
+    to stdout; fields with commas or quotes are quoted."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    text = buf.getvalue()
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -237,11 +253,7 @@ def cmd_additivity(args) -> int:
         reports.append(report)
 
     if args.format == "csv":
-        out = args.out or "additivity.csv"
-        addmod.write_report_csv(out, rows, include_runtime=args.timing)
-        sys.stdout.write(",".join(addmod.REPORT_COLUMNS) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(str(row[c]) for c in addmod.REPORT_COLUMNS) + "\n")
+        _write_csv(addmod.REPORT_COLUMNS, rows, args.out or "additivity.csv")
     else:
         _write_json({"rows": [{k: r[k] for k in addmod.REPORT_COLUMNS}
                               for r in rows]}, args.out)
@@ -282,14 +294,7 @@ def cmd_discontinuity(args) -> int:
             "capacity": f"{result.value:.12g}",
             "gap": f"{result.gap:.12g}",
         })
-    fieldnames = ["n", "q", "norm_distance", "capacity", "gap"]
-    lines = [",".join(fieldnames)]
-    lines += [",".join(str(r[c]) for c in fieldnames) for r in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _write_csv(["n", "q", "norm_distance", "capacity", "gap"], rows, args.out)
     return 0
 
 

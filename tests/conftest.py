@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,5 +25,15 @@ def eb_channel():
     return hl.measure_prepare(povm, outs)
 
 
-def pure2(a, b):
-    return hl.DensityOperator.pure(np.array([a, b], dtype=complex))
+def bell_state() -> hl.DensityOperator:
+    v = np.zeros(4, dtype=complex)
+    v[0] = v[3] = 1.0 / math.sqrt(2.0)
+    return hl.DensityOperator.pure(v)
+
+
+def werner_state(q: float) -> hl.DensityOperator:
+    """q |Psi-><Psi-| + (1-q) I/4."""
+    v = np.zeros(4, dtype=complex)
+    v[1], v[2] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
+    singlet = np.outer(v, v.conj())
+    return hl.DensityOperator(q * singlet + (1.0 - q) * np.eye(4) / 4.0)

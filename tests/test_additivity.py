@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 import holevo_lab as hl
+from conftest import bell_state, werner_state
 from holevo_lab.additivity import (
     REPORT_COLUMNS,
-    bell_state,
+    ProductConstraint,
+    _marginal_rows,
+    _product_projector_factory,
     report_row,
-    werner_state,
-    write_report_csv,
 )
 from holevo_lab.capacity import SolverOptions
 from holevo_lab.channels import Channel
+from holevo_lab.cli import _write_csv
 from holevo_lab.opalg import random_density, random_pure, trace_norm
 
 LOG2 = math.log(2.0)
@@ -212,11 +214,30 @@ def test_report_csv(tmp_path, eb_channel):
                                tol=1e-5, grid=1024, label="row1")
     row = report_row(rep, "noiseless(2)", "depolarizing(2,0.3)")
     path = tmp_path / "report.csv"
-    write_report_csv(str(path), [row])
+    _write_csv(REPORT_COLUMNS, [row], str(path))
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert rows[0]["label"] == "row1"
     assert set(rows[0]) == set(REPORT_COLUMNS)
-    assert rows[0]["runtime_s"] == ""  # timing off by default
     assert float(rows[0]["lhs_value"]) == pytest.approx(rep.lhs.value, rel=1e-10)
+
+
+def test_product_projector_one_energy_bound():
+    # one energy-bounded side is one halfspace row: every projection lies
+    # on the simplex and meets the bound, on a 12-state support that holds
+    # the basis products
+    rng = np.random.default_rng(3)
+    bound = hl.ExpectationBound(hl.HermitianOperator(np.diag([0.0, 1.0]).astype(complex)), 0.3)
+    pc = ProductConstraint(bound, hl.UNCONSTRAINED)
+    support = list(np.eye(4, dtype=complex))
+    for _ in range(8):
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        support.append(v / np.linalg.norm(v))
+    proj = _product_projector_factory(pc, (2, 2))(support)
+    _, a, h = _marginal_rows(bound, (2, 2), 0, support)
+    for _ in range(60):
+        w = proj(rng.standard_normal(12))
+        assert w.min() >= 0.0
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert a @ w <= h + 1e-12

@@ -181,7 +181,7 @@ def test_hhat_matches_entanglement_of_formation(rng):
     # partial-trace channel: the convex closure is the EoF, known in
     # closed form for two qubits (concurrence)
     ch = partial_trace_channel()
-    from holevo_lab.additivity import bell_state, werner_state
+    from conftest import bell_state, werner_state
     cases = [bell_state(), werner_state(0.75), werner_state(0.5)]
     cases += [random_density(rng, 4) for _ in range(4)]
     for rho in cases:
@@ -667,7 +667,7 @@ WITNESS_ABOVE_UPPER = {
 
 @pytest.mark.parametrize("seed, op", sorted(WITNESS_ABOVE_UPPER))
 def test_oracle_upper_end_above_witness_chi(seed, op):
-    from holevo_lab.capacity import _grid_neighbours, _grid_sup_to_ref, _qubit_grid_outputs
+    from holevo_lab.capacity import _grid_neighbours, _grid_sup_to_ref
     from holevo_lab.channels import state_of_bloch
     rng = np.random.default_rng(seed)
     for i in range(op + 1):
@@ -676,7 +676,7 @@ def test_oracle_upper_end_above_witness_chi(seed, op):
     lo, up = hl.brute_force_capacity(ch, resolution=16384)
     assert lo <= chi <= up
     blochs = _kernels.fibonacci_sphere(16384)
-    out_blochs, outs = _qubit_grid_outputs(ch, blochs)
+    out_blochs, outs = _optim.qubit_grid_outputs(ch, blochs)
     ref = state_of_bloch(np.array(WITNESS_ABOVE_UPPER[seed, op]))
     assert _grid_sup_to_ref(ch, blochs, out_blochs, outs, ref,
                             _grid_neighbours(16384)) >= chi

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import subprocess
@@ -182,6 +183,10 @@ def test_additivity_command(tmp_path, capsys):
     assert len(rows) == 1
     assert abs(float(rows[0]["additivity_gap"])) < 1e-3
     assert rows[0]["runtime_s"] == ""
+    # stdout is the same CSV: the JSON channel fields, commas and all,
+    # are quoted; both have LF line ends
+    assert list(csv.DictReader(io.StringIO(out))) == rows
+    assert b"\r" not in out_path.read_bytes()
 
 
 def test_entry_point_installed():
