@@ -97,15 +97,18 @@ def dykstra(v: np.ndarray, projectors) -> np.ndarray:
 # members idx.
 
 class WeightSolve(NamedTuple):
-    """Weights, chi at them, the Frank-Wolfe gap max_i g_i - g.w there
-    (g the member divergences to the average output; on the bare simplex
-    the gap bounds how far chi lies below its maximum over the members,
-    on a smaller feasible set it is only the ascent's stationarity
-    measure), and the stop reason: converged, stalled or max_iter."""
+    """Weights, chi at them, a gap and the stop reason: converged,
+    stalled or max_iter.  On the bare simplex the gap is the Frank-Wolfe
+    gap max_i g_i - g.w (g the member divergences to the average output),
+    which bounds how far chi lies below its maximum over the members; it
+    is the duality gap under an energy row, whose Lagrange multiplier is
+    multiplier (see multiplier_solve), and on a projected feasible set
+    only the ascent's stationarity measure."""
     w: np.ndarray
     chi: float
     gap: float
     stop: str
+    multiplier: float = 0.0
 
 
 def _frank_wolfe_gap(grad: np.ndarray, w: np.ndarray) -> float:
@@ -200,7 +203,8 @@ def maximize_chi_weights(outs: np.ndarray, w0: np.ndarray, projector=None,
     until the Frank-Wolfe gap is at most 1e-11; a custom feasible-set
     projector switches to Euclidean projected ascent (see _ascend),
     capped at max_iter steps.  For many members of which few carry
-    weight, column_generation is the faster bare-simplex solve.
+    weight, column_generation is the faster bare-simplex solve, and an
+    energy row a.w <= h goes through multiplier_solve.
     """
     backend = weight_backend(outs)
     if projector is None:
@@ -226,6 +230,65 @@ def maximize_chi_weights_bloch(blochs: np.ndarray) -> WeightSolve:
     """column_generation for qubit outputs given as Bloch vectors (m, 3),
     with the divergences of _kernels.relent_pairwise as the gradient."""
     return column_generation(bloch_backend(blochs, pure_ref=True), len(blochs))
+
+
+def multiplier_solve(make_backend, members: np.ndarray, a: np.ndarray, h: float,
+                     w0: np.ndarray | None = None, max_iter: int = 1000) -> WeightSolve:
+    """Maximize chi over the weights w of members with a.w <= h (a the
+    member energies) through the row's Lagrange multiplier lam >= 0
+    (Blahut's capacity-cost parameter): max chi = min over lam of lam h +
+    max over the bare simplex of chi(w) - lam a.w.  Each lam runs the
+    active-set solve on make_backend(members), gradient shifted by -lam a,
+    from the last solve's weights (the first from w0, or as
+    column_generation).  lam = 0 if its weights are feasible; else lam
+    doubles from 1/ptp(a) until they are, and [lo, hi] is bisected to
+    1e-12 max(hi, 1/ptp(a)).  The
+    witness mixes the two end solves to meet a.w = h, no worse than either
+    as chi is concave; the gap is the least dual value (lam h + Lagrangian
+    + its Frank-Wolfe gap) less chi of the witness, and the multiplier hi.
+    With h within 1e-10 of the least energy, the weights live on the
+    members of least energy and lam is inf."""
+    m = len(members)
+    if h - float(a.min()) <= 1e-10:
+        ground = np.flatnonzero(a <= a.min() + 1e-10)
+        sol = column_generation(make_backend(members[ground]), ground.size)
+        w = np.zeros(m)
+        w[ground] = sol.w
+        return sol._replace(w=w, multiplier=math.inf)
+    objective, gradient, hessian = make_backend(members)
+
+    def solve(lmb, w):
+        def lagrangian(v):
+            val, avg = objective(v)
+            return val - lmb * float(a @ v), avg
+        return _active_set_solve((lagrangian, lambda avg: gradient(avg) - lmb * a, hessian),
+                                 w, max_iter, 1e-10, batch=8)
+
+    last = column_generation((objective, gradient, hessian), m) if w0 is None \
+        else solve(0.0, w0)
+    if float(a @ last.w) <= h:
+        return last
+    lo, hi, upper = (0.0, last), None, last.chi + last.gap
+    lmb = scale = 1.0 / float(np.ptp(a))
+    for _ in range(400):
+        last = solve(lmb, last.w)
+        upper = min(upper, lmb * h + last.chi + last.gap)
+        if float(a @ last.w) <= h:
+            hi = (lmb, last)
+        else:
+            lo = (lmb, last)
+        if hi is not None and hi[0] - lo[0] <= 1e-12 * max(hi[0], scale):
+            break
+        lmb = 2.0 * lmb if hi is None else 0.5 * (lo[0] + hi[0])
+    else:
+        raise RuntimeError("no multiplier meets the energy row")
+    (_, s_lo), (lmb, s_hi) = lo, hi
+    e_lo, e_hi = float(a @ s_lo.w), float(a @ s_hi.w)
+    t = (h - e_hi) / (e_lo - e_hi)
+    w = t * s_lo.w + (1.0 - t) * s_hi.w
+    chi = objective(w)[0]
+    gap = upper - chi
+    return WeightSolve(w, chi, gap, "converged" if gap <= 1e-10 else "stalled", lmb)
 
 
 def _ascend(backend, w0, projector, max_iter: int, stat_tol: float) -> WeightSolve:

@@ -34,6 +34,7 @@ from .channels import Channel, reduced_states, tensor_channel
 from .opalg import (
     DensityOperator,
     DimensionMismatch,
+    HermitianOperator,
     partial_trace_raw,
     trace_norm,
 )
@@ -86,13 +87,6 @@ def _product_projector_factory(pc: ProductConstraint, dims: tuple[int, int]):
         rows = [_marginal_rows(side, dims, which, support)
                 for side, which in ((pc.left, 0), (pc.right, 1))]
         rows = [row for row in rows if row is not None]
-        if not rows:
-            return None  # bare simplex
-        if len(rows) == 1 and rows[0][0] == "halfspace":
-            # one energy bound: the exact projection (Dykstra's iterate
-            # ends on the halfspace step and can leave the simplex)
-            _, a, h = rows[0]
-            return lambda w: _optim.project_simplex_halfspace(w, a, h)
         sets = []
         for kind, a, b in rows:
             if kind == "affine":
@@ -134,9 +128,11 @@ def joint_capacity(phi: Channel, psi: Channel, pc: ProductConstraint,
     The support is seeded with products of single-channel witness states,
     which makes the one-sided bound lhs >= rhs_left + rhs_right automatic
     up to solver tolerance.  The upper bound for the joint problem comes
-    from non-exhaustive inner maximization and is flagged heuristic; under
-    a constraint it is the unconstrained divergence radius, valid but
-    loose.
+    from non-exhaustive inner maximization and is flagged heuristic.  One
+    energy-bounded side with the other unconstrained is the energy bound
+    H x I (or I x H) on the joint input, bounded by its Lagrangian radius;
+    under other constraints the bound is the unconstrained divergence
+    radius, valid but loose.
     """
     opts = _merge_opts(opts, **kw)
     joint = tensor_channel(phi, psi)
@@ -156,10 +152,14 @@ def joint_capacity(phi: Channel, psi: Channel, pc: ProductConstraint,
 
     constrained = not (isinstance(pc.left, Unconstrained)
                        and isinstance(pc.right, Unconstrained))
-    projector_factory = _product_projector_factory(pc, dims) if constrained else None
-    result = _solve_support_problem(joint, UNCONSTRAINED, opts,
-                                    projector_factory=projector_factory,
-                                    extra_seeds=seeds)
+    left, right, energy = pc.left, pc.right, None
+    if isinstance(left, ExpectationBound) and isinstance(right, Unconstrained):
+        energy = ExpectationBound(HermitianOperator(np.kron(left.H.mat, np.eye(dims[1]))), left.h)
+    elif isinstance(left, Unconstrained) and isinstance(right, ExpectationBound):
+        energy = ExpectationBound(HermitianOperator(np.kron(np.eye(dims[0]), right.H.mat)), right.h)
+    factory = _product_projector_factory(pc, dims) if constrained and energy is None else None
+    result = _solve_support_problem(joint, energy or UNCONSTRAINED, opts,
+                                    projector_factory=factory, extra_seeds=seeds)
     from .ensembles import average_state
     if not pc.is_member(average_state(result.witness).mat, dims):
         raise RuntimeError("joint witness violates the product constraint")

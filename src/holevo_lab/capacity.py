@@ -159,11 +159,6 @@ def output_optimal_average(result: CapacityResult) -> DensityOperator:
 # ---------------------------------------------------------------------------
 # divergence radius (the minimax upper bound)
 
-def _radius_unconstrained(channel: Channel, ref: np.ndarray,
-                          rng: np.random.Generator, opts: SolverOptions):
-    return _optim.radius_sup(channel, ref, rng, grid=opts.grid)
-
-
 def _ground_subchannel(channel: Channel, hmat: np.ndarray):
     lam, u = np.linalg.eigh(hmat)
     keep = lam <= lam.min() + 1e-10
@@ -174,26 +169,30 @@ def _ground_subchannel(channel: Channel, hmat: np.ndarray):
 
 def _radius_expectation(channel: Channel, bound: ExpectationBound,
                         ref: np.ndarray, rng: np.random.Generator,
-                        opts: SolverOptions):
+                        opts: SolverOptions, lmb: float | None = None):
+    """lam h + sup over pure inputs of H(Phi(psi)||ref) - lam <psi|H|psi>
+    at lam = lmb, or, when lmb is None, its min over lam >= 0."""
     hmat = bound.H.mat
     lam = np.linalg.eigvalsh(hmat)
     span = float(lam.max() - lam.min())
     if span < 1e-12:
-        return _radius_unconstrained(channel, ref, rng, opts)
+        return _optim.radius_sup(channel, ref, rng, grid=opts.grid)
     slack = bound.h - float(lam.min())
     if slack <= 1e-10:
         sub, eg = _ground_subchannel(channel, hmat)
-        val, states, cert = _radius_unconstrained(sub, ref, rng, opts)
+        val, states, cert = _optim.radius_sup(sub, ref, rng, grid=opts.grid)
         return val, [eg @ s for s in states], cert
     mass, esc = _optim.escape_witness(channel, ref)
     if mass > 1e-8:
         return math.inf, [esc], True
 
-    def g(lmb: float, polish: bool):
+    def g(lmb: float, polish: bool = True):
         val, states, cert = _optim.radius_sup(channel, ref, rng, grid=opts.grid,
                                               linear=lmb * hmat, polish=polish)
         return lmb * bound.h + val, states, cert
 
+    if lmb is not None:
+        return g(lmb)
     # locate the envelope minimum on cheap unpolished sups, then certify
     # the few final candidates with the polished evaluation
     lo, hi = 0.0, 10.0 * span
@@ -212,10 +211,7 @@ def _radius_expectation(channel: Channel, bound: ExpectationBound,
             f2 = g(x2, False)[0]
         if hi - lo < 1e-9 * span:
             break
-    candidates = [g(0.0, True), g(x1, True), g(x2, True)]
-    best = min(candidates, key=lambda t: t[0])
-    states = [s for _, sts, _ in candidates for s in sts]
-    return best[0], states, all(c[2] for c in candidates)
+    return min((g(0.0), g(x1), g(x2)), key=lambda t: t[0])
 
 
 def divergence_radius_at(channel: Channel, constraint: ConstraintSet,
@@ -243,7 +239,7 @@ def divergence_radius_at(channel: Channel, constraint: ConstraintSet,
     if isinstance(constraint, ExpectationBound):
         val, _, _ = _radius_expectation(channel, constraint, ref, rng, opts)
         return ExtendedReal.from_float(val)
-    val, _, _ = _radius_unconstrained(channel, ref, rng, opts)
+    val, _, _ = _optim.radius_sup(channel, ref, rng, grid=opts.grid)
     return ExtendedReal.from_float(val)
 
 
@@ -258,16 +254,6 @@ def _dedupe_append(support: list[np.ndarray], cands) -> int:
             support.append(c)
             added += 1
     return added
-
-
-def _weight_projector(constraint: ConstraintSet, support: list[np.ndarray]):
-    if isinstance(constraint, Unconstrained):
-        return None  # bare simplex: the active-set weight solve
-    if isinstance(constraint, ExpectationBound):
-        hmat = constraint.H.mat
-        a = np.array([float(np.real(v.conj() @ (hmat @ v))) for v in support])
-        return lambda w: _optim.project_simplex_halfspace(w, a, constraint.h)
-    raise InvalidOperand("singleton constraints use the decomposition path")
 
 
 def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
@@ -297,12 +283,22 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
 
     grid_seeded = not (d == 2 and "classical" not in channel.tags)
 
-    if projector_factory is None:
-        projector_factory = lambda sup: _weight_projector(constraint, sup)
-    if isinstance(constraint, ExpectationBound):
-        radius_fn = lambda ref, o: _radius_expectation(channel, constraint, ref, rng, o)
-    else:
-        radius_fn = lambda ref, o: _radius_unconstrained(channel, ref, rng, o)
+    energy = isinstance(constraint, ExpectationBound)
+
+    def weight_solve(outs, w0):
+        if energy:  # through the multiplier of the energy row
+            psis = np.stack(support)
+            a = np.real(np.einsum("gi,ij,gj->g", psis.conj(), constraint.H.mat, psis))
+            return _optim.multiplier_solve(_optim.weight_backend, outs, a, constraint.h,
+                                           w0, opts.max_iter)
+        projector = projector_factory(support) if projector_factory else None
+        return _optim.maximize_chi_weights(outs, w0, projector, opts.max_iter)
+
+    def radius_fn(ref, o):
+        if energy:  # the Lagrangian bound at the weights' own multiplier
+            return _radius_expectation(channel, constraint, ref, rng, o, solve.multiplier)
+        return _optim.radius_sup(channel, ref, rng, grid=o.grid)
+
     coarse_opts = opts if opts.grid <= 1024 else replace(opts, grid=1024)
 
     mix_out = channel.apply_raw(np.eye(d, dtype=complex) / d)
@@ -316,17 +312,12 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
     stagnant = 0
     for outer in range(1, 201):
         outs = _optim.batch_outputs_pure(channel, np.stack(support))
-        projector = projector_factory(support)
         if w is None:
             w0 = np.full(len(support), 1.0 / len(support))
         else:
-            # new states enter at weight 0; both weight solves raise them
+            # new states enter at weight 0; the weight solves raise them
             w0 = np.concatenate([w, np.zeros(len(support) - len(w))])
-        # the projected ascent keeps its step cap; the active-set solve on
-        # the bare simplex stops on its Frank-Wolfe gap
-        solve = _optim.maximize_chi_weights(
-            outs, w0, projector,
-            max_iter=opts.max_iter if projector is None else min(5000, opts.max_iter))
+        solve = weight_solve(outs, w0)
         w, chi_val = solve.w, solve.chi
         omega = np.einsum("i,ijk->jk", w, outs)
         omega_cert = (1.0 - delta) * omega + delta * mix_out
@@ -349,13 +340,16 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
             grid_seeded = True
             _dedupe_append(support, _grid_seed_states())
         # move live support states to their local divergence maxima at
-        # the current output (in addition to the global argmax states)
+        # the current output (in addition to the global argmax states),
+        # less the multiplier times the energy under an energy row
         polish = []
         if not math.isinf(upper):
             log_oc = logm_psd(omega_cert, rank_tol=1e-300)
+            linear = solve.multiplier * constraint.H.mat \
+                if energy and math.isfinite(solve.multiplier) else None
             for idx in np.argsort(w)[::-1][:8]:
                 if w[idx] > 1e-10:
-                    _, p = _optim.pure_ascent(channel, log_oc, support[idx], iters=60)
+                    _, p = _optim.pure_ascent(channel, log_oc, support[idx], linear, iters=60)
                     polish.append(p)
         added = _dedupe_append(support, [s for s in new_states if s is not None])
         added += _dedupe_append(support, polish)
@@ -369,8 +363,7 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
 
     if w is None or len(w) != len(support):
         outs = _optim.batch_outputs_pure(channel, np.stack(support))
-        solve = _optim.maximize_chi_weights(
-            outs, np.full(len(support), 1.0 / len(support)), projector_factory(support))
+        solve = weight_solve(outs, np.full(len(support), 1.0 / len(support)))
         w, chi_val = solve.w, solve.chi
     keep = w > 1e-12
     w_final = w[keep] / np.sum(w[keep])
@@ -383,13 +376,15 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
     omega = channel.apply(avg)
     lower = float(chi_quantity(channel, witness))
     upper = max(upper, lower)
+    info = {"support_size": len(states), "weight_gap": solve.gap, "weight_stop": solve.stop}
+    if energy:
+        info["multiplier"] = solve.multiplier
     return CapacityResult(
         value=lower, lower_bound=lower, upper_bound=upper,
         witness=witness, omega=omega, iterations=outer,
         heuristic_upper=not certified,
         wall_time_s=time.monotonic() - t0,
-        info={"support_size": len(states), "weight_gap": solve.gap,
-              "weight_stop": solve.stop},
+        info=info,
     )
 
 
@@ -486,15 +481,21 @@ _MAX_PEAKS = 16
 
 
 def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
-                     ref_mat: np.ndarray, neighbours=None, out_hs=None) -> float:
-    """sup over the input grid of H(output || ref).  Given neighbours,
-    the (len(blochs), 8) indices of each grid point's nearest grid points
+                     ref_mat: np.ndarray, neighbours=None, out_hs=None,
+                     linear=None) -> float:
+    """sup over the input grid of H(output || ref) - <psi|L|psi>, L =
+    linear or 0.  Given neighbours, the (len(blochs), 8) indices of each
+    grid point's nearest grid points
     (see _grid_neighbours), it is refined by a local ascent from every
     grid point no lower than its neighbours, the highest _MAX_PEAKS of
     them (the divergence can have several maxima on the sphere).  Each
     refined value is achieved by a pure input, so this never exceeds the
     true sup.  out_hs: the entropies of the grid outputs out_blochs, if
     known."""
+    def energy(p):
+        # <psi|L|psi> = Tr L (I + p.sigma)/2 at the input Bloch vectors p
+        return 0.5 * (np.trace(linear).real + p @ bloch_of_state(linear))
+
     if out_blochs is not None:
         ref_b = bloch_of_state(ref_mat)
         if np.linalg.norm(ref_b) >= 1.0 - 1e-12 \
@@ -505,6 +506,8 @@ def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
         if _optim.escape_witness(channel, ref_mat)[0] > 1e-8:
             return math.inf
         vals = _optim.relent_to_ref_batch(outs, ref_mat)
+    if linear is not None:
+        vals = vals - energy(blochs)
     best = float(np.max(vals))
     if math.isinf(best) or neighbours is None:
         return best
@@ -523,8 +526,9 @@ def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
         def neg_f(ang):
             th, ph = ang
             st = math.sin(th)
-            return -divergence(tm @ np.array([st * math.cos(ph), st * math.sin(ph),
-                                              math.cos(th)]) + tv)
+            p = np.array([st * math.cos(ph), st * math.sin(ph), math.cos(th)])
+            val = divergence(tm @ p + tv)
+            return -val if linear is None else energy(p) - val
     else:
         log_ref = logm_psd(ref_mat)
 
@@ -532,7 +536,7 @@ def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
             th, ph = ang
             psi = np.array([math.cos(th / 2.0),
                             complex(math.cos(ph), math.sin(ph)) * math.sin(th / 2.0)])
-            return -_optim.pure_value(channel, log_ref, psi)[0]
+            return -_optim.pure_value(channel, log_ref, psi, linear)[0]
 
     for idx in peaks:
         u = blochs[idx]
@@ -551,12 +555,15 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
     lower: chi of an ensemble on a Bloch-sphere grid of `resolution`
     points (feasible weights only).  Unconstrained it is the grid
     optimum to within a Frank-Wolfe gap of 1e-10 (column generation over
-    the grid, see _optim.column_generation); under an energy bound a
-    capped ascent runs on the grid or a subgrid, and for a singleton an
-    LP.  upper: min over candidate output references of the divergence
-    sup over the grid, polished by a local ascent from every grid
-    maximum (grid points no lower than their 8 nearest neighbours).  The
-    bracket is guaranteed up to the grid modulus.
+    the grid, see _optim.column_generation); under an energy bound it is
+    the grid optimum through the bound's Lagrange multiplier lam (see
+    _optim.multiplier_solve), and for a singleton an LP.  upper: min
+    over candidate output references, the lower end's average output
+    among them, of the divergence sup over the grid, polished by a local
+    ascent from every grid maximum (grid points no lower than their 8
+    nearest neighbours); under an energy bound the sup is of the
+    divergence less lam times the energy, plus lam h.  The bracket is
+    guaranteed up to the grid modulus.
     """
     if channel.d_in != 2:
         raise DimensionMismatch("brute force oracle supports d_in = 2 only")
@@ -565,13 +572,8 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
     out_hs = None if out_blochs is None else \
         _kernels.entropy_from_radius(np.linalg.norm(out_blochs, axis=1))
 
-    if isinstance(constraint, ExpectationBound):
-        # energies <psi|H|psi> of the grid states
-        hmat = constraint.H.mat
-        psis = _optim.qubit_pure_states(blochs)
-        a = np.real(np.einsum("gi,ij,gj->g", psis.conj(), hmat, psis))
-
     # --- lower bound: ensemble weights on the grid
+    lmb = 0.0
     if isinstance(constraint, Unconstrained):
         if out_blochs is not None:
             w, lower = _optim.maximize_chi_weights_bloch(out_blochs)[:2]
@@ -579,22 +581,12 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
             w, lower = _optim.column_generation(
                 _optim.matrix_backend(outs), resolution)[:2]
     elif isinstance(constraint, ExpectationBound):
-        proj = lambda v: _optim.project_simplex_halfspace(v, a, constraint.h)
-        if out_blochs is not None:
-            objective, gradient, _ = _optim.bloch_backend(out_blochs, pure_ref=True)
-            w = proj(np.full(resolution, 1.0 / resolution))
-            lower = -math.inf
-            for _ in range(400):
-                w_new = proj(w + 0.5 * gradient(w @ out_blochs))
-                val = objective(w_new)[0]
-                if val < lower + 1e-14:
-                    break
-                w, lower = w_new, val
-        else:
-            sub = np.linspace(0, resolution - 1, min(resolution, 512)).astype(int)
-            proj_sub = lambda v: _optim.project_simplex_halfspace(v, a[sub], constraint.h)
-            w, lower = _optim.maximize_chi_weights(
-                outs[sub], np.full(len(sub), 1.0 / len(sub)), proj_sub)[:2]
+        psis = _optim.qubit_pure_states(blochs)
+        a = np.real(np.einsum("gi,ij,gj->g", psis.conj(), constraint.H.mat, psis))
+        make, members = (_optim.matrix_backend, outs) if out_blochs is None else \
+            (functools.partial(_optim.bloch_backend, pure_ref=True), out_blochs)
+        solve = _optim.multiplier_solve(make, members, a, constraint.h)
+        w, lower, lmb = solve.w, solve.chi, solve.multiplier
     else:  # Singleton: LP over the grid for the convex closure
         b = bloch_of_state(constraint.rho.mat)
         es = entropy_batch(outs) if out_hs is None else out_hs
@@ -608,22 +600,14 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
 
     # --- upper bound: min over candidate references of the grid sup
     cands = []
-    if isinstance(constraint, Unconstrained) and out_blochs is not None:
-        cands.append(state_of_bloch(w @ out_blochs))
+    if not isinstance(constraint, Singleton):  # the lower end's average output
+        cands.append(state_of_bloch(w @ out_blochs) if out_blochs is not None
+                     else np.einsum("i,ijk->jk", w, outs))
     dirs = _kernels.fibonacci_sphere(32)
     for r in (0.0, 1.0 / 3.0, 2.0 / 3.0, 0.95):
         for u in dirs if r > 0 else dirs[:1]:
             cands.append(channel.apply_raw(state_of_bloch(r * u)))
     cands.append(channel.apply_raw(np.eye(2, dtype=complex) / 2.0))
-    if isinstance(constraint, ExpectationBound):
-        # references along the constraint axis, where the optimum lies
-        lam_h, u_h = np.linalg.eigh(constraint.H.mat)
-        axis = bloch_of_state(np.outer(u_h[:, 0], u_h[:, 0].conj()))
-        norm = np.linalg.norm(axis)
-        if norm > 1e-12:
-            axis = axis / norm
-            for r in np.linspace(-0.95, 0.95, 39):
-                cands.append(channel.apply_raw(state_of_bloch(r * axis)))
 
     if isinstance(constraint, Singleton):
         out_rho = channel.apply_raw(constraint.rho.mat)
@@ -635,31 +619,21 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
         hhat_grid = entropy_raw(channel.apply_raw(constraint.rho.mat)) - lower
         upper = min(-hhat_grid - c for c in log_terms)
     else:
+        # lam h + sup (divergence - lam energy) at the lower end's lam; the
+        # divergence sup alone at lam = 0 and on the ground states (inf)
+        lagrangian = 0.0 < lmb < math.inf
+        linear = lmb * constraint.H.mat if lagrangian else None
         sups = []
         for ref in cands:
             sups.append(_grid_sup_to_ref(channel, blochs, out_blochs, outs,
-                                         ref, out_hs=out_hs))
+                                         ref, out_hs=out_hs, linear=linear))
         order = np.argsort(sups)
         upper = math.inf
         neighbours = _grid_neighbours(resolution)
         for idx in order[:4]:
             upper = min(upper, _grid_sup_to_ref(channel, blochs, out_blochs, outs,
                                                 cands[int(idx)], neighbours,
-                                                out_hs=out_hs))
-        if isinstance(constraint, ExpectationBound):
-            # Lagrangian refinement over a lambda grid and all candidate
-            # references (each (ref, lambda) pair is a valid upper bound)
-            lam_span = float(np.ptp(np.linalg.eigvalsh(hmat)))
-            if out_blochs is not None:
-                ref_blochs = np.array([bloch_of_state(c) for c in cands])
-                rmat = _kernels.relent_pairwise(out_blochs, ref_blochs)
-            else:
-                rmat = np.column_stack([_optim.relent_to_ref_batch(outs, c)
-                                        for c in cands])
-            rmat = np.where(np.isfinite(rmat), rmat, np.inf)
-            for lmb in np.linspace(0.0, 10.0 * max(lam_span, 1e-9), 81):
-                vals_c = np.max(rmat - (lmb * a)[:, None], axis=0)
-                best = float(np.min(vals_c))
-                if math.isfinite(best):
-                    upper = min(upper, lmb * constraint.h + best)
+                                                out_hs=out_hs, linear=linear))
+        if lagrangian:
+            upper += lmb * constraint.h
     return float(lower), float(max(upper, lower))

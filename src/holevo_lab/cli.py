@@ -257,7 +257,7 @@ def cmd_additivity(args) -> int:
     else:
         _write_json({"rows": [{k: r[k] for k in addmod.REPORT_COLUMNS}
                               for r in rows]}, args.out)
-    converged = all(rep.rhs_left.gap <= args.tol and rep.rhs_right.gap <= args.tol
+    converged = all(max(rep.lhs.gap, rep.rhs_left.gap, rep.rhs_right.gap) <= args.tol
                     for rep in reports)
     return 0 if converged else 2
 

@@ -9,8 +9,6 @@ from conftest import bell_state, werner_state
 from holevo_lab.additivity import (
     REPORT_COLUMNS,
     ProductConstraint,
-    _marginal_rows,
-    _product_projector_factory,
     report_row,
 )
 from holevo_lab.capacity import SolverOptions
@@ -223,21 +221,16 @@ def test_report_csv(tmp_path, eb_channel):
     assert float(rows[0]["lhs_value"]) == pytest.approx(rep.lhs.value, rel=1e-10)
 
 
-def test_product_projector_one_energy_bound():
-    # one energy-bounded side is one halfspace row: every projection lies
-    # on the simplex and meets the bound, on a 12-state support that holds
-    # the basis products
+def test_joint_capacity_one_energy_bound():
+    # one energy-bounded side is the energy bound H x I on the joint
+    # input: its witness is feasible, and its value is at least that of
+    # the projected ascent on the product constraint (0.854278592985)
     rng = np.random.default_rng(3)
+    a = hl.random_channel(rng, 2, 2, 2)
+    b = hl.random_channel(rng, 2, 2, 3)
     bound = hl.ExpectationBound(hl.HermitianOperator(np.diag([0.0, 1.0]).astype(complex)), 0.3)
     pc = ProductConstraint(bound, hl.UNCONSTRAINED)
-    support = list(np.eye(4, dtype=complex))
-    for _ in range(8):
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        support.append(v / np.linalg.norm(v))
-    proj = _product_projector_factory(pc, (2, 2))(support)
-    _, a, h = _marginal_rows(bound, (2, 2), 0, support)
-    for _ in range(60):
-        w = proj(rng.standard_normal(12))
-        assert w.min() >= 0.0
-        assert abs(w.sum() - 1.0) <= 1e-12
-        assert a @ w <= h + 1e-12
+    r = hl.joint_capacity(a, b, pc, tol=1e-5, grid=1024)
+    assert pc.is_member(hl.average_state(r.witness).mat, (2, 2))
+    assert r.value >= 0.854278592985 - 1e-5
+    assert r.info["multiplier"] >= 0.0

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -129,6 +130,28 @@ def test_capacity_witness_feasible(rng):
     assert np.real(np.trace(avg @ np.diag([0.0, 1.0]))) <= 0.4 + 1e-8
     assert np.max(np.abs(hl.output_optimal_average(r).mat
                          - ch.apply_raw(avg))) < 1e-10
+
+
+def test_capacity_energy_bound_converges():
+    # random qubit channels under <1|rho|1> <= h: the Lagrangian radius at
+    # the weights' own multiplier closes the gap, the witness meets the
+    # bound with equality when the multiplier is positive, and the value
+    # lies in the oracle's bracket
+    rng = np.random.default_rng(2718)
+    hmat = np.diag([0.0, 1.0]).astype(complex)
+    for i in range(4):
+        ch = hl.random_channel(rng, 2, 2, 2 + i % 3)
+        h = float(rng.uniform(0.2, 0.4))
+        bound = hl.ExpectationBound(hl.HermitianOperator(hmat), h)
+        r = hl.chi_capacity(ch, bound, tol=1e-6)
+        assert r.gap <= 1e-6
+        lmb = r.info["multiplier"]
+        assert lmb >= 0.0
+        if lmb > 1e-9:
+            avg = hl.average_state(r.witness).mat
+            assert np.real(np.trace(avg @ hmat)) == pytest.approx(h, abs=1e-8)
+        lo, up = hl.brute_force_capacity(ch, bound, resolution=4096)
+        assert lo - 1e-9 <= r.value <= up + 1e-9
 
 
 def test_capacity_deterministic():
@@ -643,6 +666,33 @@ def test_oracle_weights_certify_full_grid_gap():
         assert float(np.max(g) - g @ sol.w) <= 1e-10
         checked += 1
     assert checked == 5
+
+
+def test_oracle_energy_weights_certify_full_grid_gap():
+    # the energy lower end at resolution 4096: the Frank-Wolfe gap of
+    # chi(w) - lam a.w over all grid outputs, recomputed with
+    # relent_pairwise at the reported multiplier lam, and a.w <= h
+    hmat = np.diag([0.0, 1.0]).astype(complex)
+    blochs = _kernels.fibonacci_sphere(4096)
+    psis = _optim.qubit_pure_states(blochs)
+    a = np.real(np.einsum("gi,ij,gj->g", psis.conj(), hmat, psis))
+    rng = np.random.default_rng(2024)
+    # the noiseless channel's multiplier is the slope log((1 - h)/h) of
+    # its capacity h2(h), up to the grid
+    cases = [(hl.noiseless(2), 0.25, math.log(3.0))]
+    cases += [(hl.random_channel(rng, 2, 2, rank), h, None) for rank, h in ((2, 0.3), (3, 0.2))]
+    for ch, h, slope in cases:
+        tm, tv = bloch_map(ch)
+        outs = blochs @ tm.T + tv[None, :]
+        sol = _optim.multiplier_solve(functools.partial(_optim.bloch_backend, pure_ref=True),
+                                      outs, a, h)
+        bound = hl.ExpectationBound(hl.HermitianOperator(hmat), h)
+        assert sol.chi == hl.brute_force_capacity(ch, bound, resolution=4096)[0]
+        g = _kernels.relent_pairwise(outs, (sol.w @ outs)[None, :])[:, 0] - sol.multiplier * a
+        assert float(np.max(g) - g @ sol.w) <= 1e-10
+        assert a @ sol.w <= h + 1e-12
+        if slope is not None:
+            assert sol.multiplier == pytest.approx(slope, abs=1e-2)
 
 
 def test_grid_neighbours_are_nearest():

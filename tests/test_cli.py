@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -189,8 +191,30 @@ def test_additivity_command(tmp_path, capsys):
     assert b"\r" not in out_path.read_bytes()
 
 
+def test_additivity_exit_code_joint_gap(tmp_path, monkeypatch, capsys):
+    # a joint bracket wider than --tol is a numerical failure even when
+    # both single-channel brackets converged
+    import holevo_lab.additivity as addmod
+    real = addmod.additivity_report
+
+    def wide_joint(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        lhs = dataclasses.replace(rep.lhs, upper_bound=rep.lhs.upper_bound + 1e-3)
+        return dataclasses.replace(rep, lhs=lhs)
+    monkeypatch.setattr(addmod, "additivity_report", wide_joint)
+    code, _ = run_cli(["additivity",
+                       "--left", '{"kind":"noiseless","d":2}',
+                       "--right", '{"kind":"depolarizing","d":2,"p":0.3}',
+                       "--tol", "1e-5", "--resolution", "1024",
+                       "--out", str(tmp_path / "add.csv")], capsys)
+    assert code == 2
+
+
 def test_entry_point_installed():
+    # the package need not be installed: run it from the repository's src
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-m", "holevo_lab.cli", "verify",
                           "pinsker", "--cases", "5"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
