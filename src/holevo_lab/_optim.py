@@ -20,6 +20,10 @@ from .opalg import entropy_batch, entropy_raw, logm_psd
 
 LOG_FLOOR = 1e-300
 
+#: the two eigenvalues (tau +- |q|)/2 of a qubit output (tau I + q.sigma)/2
+#: are 0.5 tau + _HALF_PLUS_MINUS |q|
+_HALF_PLUS_MINUS = np.array([[0.5], [-0.5]])
+
 #: pure seed states per inner search on inputs of dimension >= 3
 #: (radius_sup polishes the best half of them)
 MULTISTART = 32
@@ -474,29 +478,98 @@ def pure_value(channel: Channel, log_ref: np.ndarray, psi: np.ndarray,
     return val, y
 
 
-def pure_ascent(channel: Channel, log_ref: np.ndarray, psi0: np.ndarray,
+def pure_ascent(channel: Channel, log_ref: np.ndarray, psi0s: np.ndarray,
                 linear: np.ndarray | None = None, iters: int = 150):
     """Monotone fixed-point ascent of f(psi) = H(Phi(psi)||ref) - <psi|L|psi>
-    (see pure_value), until a step gains at most 1e-13.
+    (see pure_value) from each start of the stack psi0s (G, d_in), until a
+    step gains at most 1e-13 or after iters steps.  Returns (values (G,),
+    vectors (G, d_in)); a start that never moves comes back normalized.
 
     Maximizing a convex function of the input state by repeatedly moving
     to the top eigenvector of the gradient; each step cannot decrease f.
+    For qubit -> qubit channels the map runs in closed form on the Bloch
+    vectors of all starts at once (see _qubit_pure_ascent); otherwise one
+    start at a time on the output matrices.
     """
-    psi = psi0 / np.linalg.norm(psi0)
-    val, y = pure_value(channel, log_ref, psi, linear)
+    psi0s = np.asarray(psi0s, dtype=complex)
+    if channel.d_in == channel.d_out == 2:
+        return _qubit_pure_ascent(channel, log_ref, psi0s, linear, iters)
+    vals = np.empty(len(psi0s))
+    psis = np.empty_like(psi0s)
+    for g, psi0 in enumerate(psi0s):
+        psi = psi0 / np.linalg.norm(psi0)
+        val, y = pure_value(channel, log_ref, psi, linear)
+        for _ in range(iters):
+            lam, u = np.linalg.eigh(y)
+            log_y = (u * np.log(np.maximum(lam, LOG_FLOOR))) @ u.conj().T
+            grad = channel.adjoint_raw(log_y - log_ref)
+            if linear is not None:
+                grad = grad - linear
+            w, vecs = np.linalg.eigh(grad)
+            cand = vecs[:, -1]
+            new_val, new_y = pure_value(channel, log_ref, cand, linear)
+            if new_val <= val + 1e-13:
+                break
+            psi, val, y = cand, new_val, new_y
+        vals[g], psis[g] = val, psi
+    return vals, psis
+
+
+def _pauli_parts(x: np.ndarray):
+    """(x0, x) with X = x0 I + x.sigma for a Hermitian 2x2 X."""
+    return 0.5 * float(np.trace(x).real), 0.5 * bloch_of_state(x)
+
+
+def _qubit_pure_ascent(channel: Channel, log_ref: np.ndarray, psi0s: np.ndarray,
+                       linear: np.ndarray | None, iters: int):
+    """pure_ascent for a qubit -> qubit channel on input Bloch vectors p,
+    free of eigensolvers.  The output is (tau I + q.sigma)/2 with q = T p
+    + t ((T, t) = bloch_map(channel)) and tau = a0 + a.p from Phi*(I) =
+    a0 I + a.sigma, so its eigenvalues are (tau +- |q|)/2: clamped at 0
+    for the value and floored at LOG_FLOOR for the log alpha I + beta
+    qhat.sigma.  With log ref = m0 I + m.sigma and L = l0 I + l.sigma,
+    Phi*(sigma_k) = t_k I + (T^T e_k).sigma gives the gradient's Pauli part
+    g = (alpha - m0) a + T^T (beta qhat - m) - l, whose top eigenvector is
+    the pure state of Bloch vector g/|g|."""
+    tm, tv = bloch_map(channel)
+    a0, a = _pauli_parts(channel.adjoint_raw(np.eye(2, dtype=complex)))
+    m0, m = _pauli_parts(log_ref)
+    l0, l = (0.0, np.zeros(3)) if linear is None else _pauli_parts(linear)
+
+    def evaluate(p):
+        q = p @ tm.T + tv
+        tau = a0 + p @ a
+        rad = np.linalg.norm(q, axis=1)
+        lam = 0.5 * tau + _HALF_PLUS_MINUS * rad  # (2, G)
+        lam0 = np.maximum(lam, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ent = np.where(lam0 > 0.0, lam0 * np.log(lam0), 0.0).sum(axis=0)
+        val = ent - tau * m0 - q @ m - l0 - p @ l
+        return val, q, rad, np.log(np.maximum(lam, LOG_FLOOR))
+
+    psis = psi0s / np.linalg.norm(psi0s, axis=1)[:, None]
+    p = bloch_of_states(np.einsum("gi,gj->gij", psis, psis.conj()))
+    val, q, rad, log_lam = evaluate(p)
+    moved = np.zeros(len(p), dtype=bool)
+    live = np.arange(len(p))
     for _ in range(iters):
-        lam, u = np.linalg.eigh(y)
-        log_y = (u * np.log(np.maximum(lam, LOG_FLOOR))) @ u.conj().T
-        grad = channel.adjoint_raw(log_y - log_ref)
-        if linear is not None:
-            grad = grad - linear
-        w, vecs = np.linalg.eigh(grad)
-        cand = vecs[:, -1]
-        new_val, new_y = pure_value(channel, log_ref, cand, linear)
-        if new_val <= val + 1e-13:
+        if live.size == 0:
             break
-        psi, val, y = cand, new_val, new_y
-    return val, psi
+        alpha = 0.5 * (log_lam[0] + log_lam[1])
+        beta = 0.5 * (log_lam[0] - log_lam[1])
+        qhat = q / np.where(rad > 0.0, rad, 1.0)[:, None]
+        g = (alpha - m0)[:, None] * a + (beta[:, None] * qhat - m) @ tm - l
+        gn = np.linalg.norm(g, axis=1)
+        # a gradient along I alone moves nowhere
+        cand = np.where(gn[:, None] > 0.0, g / np.where(gn > 0.0, gn, 1.0)[:, None],
+                        p[live])
+        new = evaluate(cand)
+        up = new[0] > val[live] + 1e-13
+        live = live[up]
+        p[live], val[live], moved[live] = cand[up], new[0][up], True
+        q, rad, log_lam = new[1][up], new[2][up], new[3][:, up]
+    psis[moved] = qubit_pure_states(p[moved])
+    return val, psis
 
 
 def qubit_pure_states(blochs: np.ndarray) -> np.ndarray:
@@ -554,8 +627,10 @@ def radius_sup(channel: Channel, ref: np.ndarray, rng: np.random.Generator,
     Returns (value, argmax_vectors, certified).  certified is True when
     the sup is exact up to grid refinement: classical channels (vertex
     property of the dephased simplex, see _is_classical) and qubit inputs
-    (dense Bloch grid plus local polish).  polish=False skips the
-    fixed-point ascent, for callers that only need a cheap ranking.
+    (dense Bloch grid plus local polish).  The polish is one pure_ascent
+    from the best grid points (8 for qubit inputs, closed form on qubit
+    outputs) or the best half of the MULTISTART seeds; polish=False skips
+    it, for callers that only need a cheap ranking.
     """
     d = channel.d_in
     if linear is None:
@@ -593,8 +668,8 @@ def radius_sup(channel: Channel, ref: np.ndarray, rng: np.random.Generator,
         return best_val, [psis[i] for i in order[:2]], certify
     args = []
     n_polish = 8 if d == 2 else MULTISTART // 2
-    for idx in order[:n_polish]:
-        v, p = pure_ascent(channel, log_ref, psis[idx], linear=linear)
+    for v, p in zip(*pure_ascent(channel, log_ref, psis[order[:n_polish]], linear=linear)):
+        v = float(v)
         args.append((v, p))
         if v > best_val:
             best_val, best_psi = v, p
@@ -645,9 +720,6 @@ def hhat_matrix_backend(channel: Channel):
         pis = np.maximum(np.real(np.einsum("ji,ji->i", wv.conj(), wv)), LOG_FLOOR)
         return -acc + wv * np.log(pis)[None, :]
     return objective, gradient
-
-
-_HALF_PLUS_MINUS = np.array([[0.5], [-0.5]])
 
 
 def hhat_bloch_backend(channel: Channel):

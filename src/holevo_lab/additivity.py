@@ -35,6 +35,7 @@ from .opalg import (
     DensityOperator,
     DimensionMismatch,
     HermitianOperator,
+    entropy_batch,
     partial_trace_raw,
     trace_norm,
 )
@@ -211,7 +212,6 @@ def _moe_search(channel: Channel, opts: SolverOptions,
     if d == 2:
         blochs = _kernels.fibonacci_sphere(opts.grid)
         outs = _optim.batch_outputs_pure(channel, _optim.qubit_pure_states(blochs))
-        from .opalg import entropy_batch
         hs = entropy_batch(outs)
         tops = np.argsort(hs)[:8]
         seeds = list(_optim.qubit_pure_states(blochs[tops]))
@@ -219,10 +219,9 @@ def _moe_search(channel: Channel, opts: SolverOptions,
         seeds = list(_optim.seed_pure_states(d, _optim.MULTISTART, rng))
     seeds.extend(np.asarray(s, dtype=complex) for s in extra_seeds)
     best_val, best_psi = math.inf, None
-    for psi in seeds:
-        f, p = _optim.pure_ascent(channel, zero_ref, psi)
+    for f, p in zip(*_optim.pure_ascent(channel, zero_ref, np.stack(seeds))):
         if -f < best_val:
-            best_val, best_psi = -f, p
+            best_val, best_psi = float(-f), p
     return best_val, best_psi
 
 

@@ -133,7 +133,10 @@ def _merge_opts(opts, **kw) -> SolverOptions:
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Capacity value with certified bounds and the optimizing data."""
+    """Capacity value with certified bounds and the optimizing data.
+
+    info of a support solve holds raw_upper, the divergence radius as
+    found; upper_bound is max(raw_upper, lower_bound)."""
 
     value: float
     lower_bound: float
@@ -347,10 +350,9 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
             log_oc = logm_psd(omega_cert, rank_tol=1e-300)
             linear = solve.multiplier * constraint.H.mat \
                 if energy and math.isfinite(solve.multiplier) else None
-            for idx in np.argsort(w)[::-1][:8]:
-                if w[idx] > 1e-10:
-                    _, p = _optim.pure_ascent(channel, log_oc, support[idx], linear, iters=60)
-                    polish.append(p)
+            top = [i for i in np.argsort(w)[::-1][:8] if w[i] > 1e-10]
+            polish = list(_optim.pure_ascent(channel, log_oc, np.stack([support[i] for i in top]),
+                                             linear, iters=60)[1])
         added = _dedupe_append(support, [s for s in new_states if s is not None])
         added += _dedupe_append(support, polish)
         if added == 0:
@@ -375,8 +377,10 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
         raise RuntimeError("solver produced an infeasible witness")
     omega = channel.apply(avg)
     lower = float(chi_quantity(channel, witness))
+    # the divergence radius as found, before it is raised to the lower bound
+    info = {"raw_upper": upper, "support_size": len(states), "weight_gap": solve.gap,
+            "weight_stop": solve.stop}
     upper = max(upper, lower)
-    info = {"support_size": len(states), "weight_gap": solve.gap, "weight_stop": solve.stop}
     if energy:
         info["multiplier"] = solve.multiplier
     return CapacityResult(
@@ -562,8 +566,12 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
     among them, of the divergence sup over the grid, polished by a local
     ascent from every grid maximum (grid points no lower than their 8
     nearest neighbours); under an energy bound the sup is of the
-    divergence less lam times the energy, plus lam h.  The bracket is
-    guaranteed up to the grid modulus.
+    divergence less lam times the energy, plus lam h.  Only the four
+    references of least unpolished grid sup are polished, in ascending
+    order, and a reference whose grid sup is already no lower than the
+    running min is skipped with all after it: a polish starts from that
+    grid sup and only rises, so the skip leaves the min unchanged.  The
+    bracket is guaranteed up to the grid modulus.
     """
     if channel.d_in != 2:
         raise DimensionMismatch("brute force oracle supports d_in = 2 only")
@@ -631,6 +639,8 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
         upper = math.inf
         neighbours = _grid_neighbours(resolution)
         for idx in order[:4]:
+            if sups[idx] >= upper:
+                break  # a polish starts at sups[idx] and only rises
             upper = min(upper, _grid_sup_to_ref(channel, blochs, out_blochs, outs,
                                                 cands[int(idx)], neighbours,
                                                 out_hs=out_hs, linear=linear))

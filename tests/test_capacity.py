@@ -9,7 +9,7 @@ import holevo_lab as hl
 from holevo_lab import _kernels, _optim
 from holevo_lab.capacity import SolverOptions
 from holevo_lab.channels import ClassicalChannelSpec, Channel, bloch_map, bloch_of_states
-from holevo_lab.opalg import random_density, relative_entropy_raw, trace_norm
+from holevo_lab.opalg import logm_psd, random_density, relative_entropy_raw, trace_norm
 
 LOG2 = math.log(2.0)
 
@@ -83,6 +83,80 @@ def test_radius_singleton_formula():
     val = hl.divergence_radius_at(hl.noiseless(2), constraint,
                                   hl.DensityOperator.basis_state(2, 0))
     assert val.is_infinite
+
+
+# --- pure-state ascent -------------------------------------------------------
+
+def _matrix_ascent(channel, log_ref, psi0, linear=None, iters=150):
+    """The fixed-point ascent on output matrices from one start: the
+    reference for the closed-form qubit path of _optim.pure_ascent."""
+    psi = psi0 / np.linalg.norm(psi0)
+    val, y = _optim.pure_value(channel, log_ref, psi, linear)
+    for _ in range(iters):
+        lam, u = np.linalg.eigh(y)
+        log_y = (u * np.log(np.maximum(lam, _optim.LOG_FLOOR))) @ u.conj().T
+        grad = channel.adjoint_raw(log_y - log_ref)
+        if linear is not None:
+            grad = grad - linear
+        cand = np.linalg.eigh(grad)[1][:, -1]
+        new_val, new_y = _optim.pure_value(channel, log_ref, cand, linear)
+        if new_val <= val + 1e-13:
+            break
+        psi, val, y = cand, new_val, new_y
+    return val, psi
+
+
+@pytest.mark.parametrize("kraus_rank", [1, 2, 3, 4, "near_tp"])
+def test_qubit_pure_ascent_matches_matrix_loop(rng, kraus_rank):
+    if kraus_rank == "near_tp":
+        ch = hl.random_channel(rng, 2, 2, 3)
+        ch = Channel(tuple(k * (1.0 + 5e-11) for k in ch.kraus))
+        assert 1e-11 < abs(np.trace(ch.adjoint_raw(np.eye(2))).real - 2.0) < 1e-9
+    else:
+        ch = hl.random_channel(rng, 2, 2, kraus_rank)
+    # a rank-1 channel has pure outputs, whose zero eigenvalue both paths
+    # compute as rounding of either sign: the floored log of it, and so
+    # each step, differ, and the two agree only where both stop on the gain
+    iters = 30000 if kraus_rank == 1 else 150
+    # log 99 apart: the rank-1 ascents reach their gain stop in a few
+    # hundred steps
+    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    full = (u * [0.99, 0.01]) @ u.conj().T
+    near_pure = (1.0 - 2e-13) * random_density(rng, 2, rank=1).mat + 1e-13 * np.eye(2)
+    linears = (None, 3.0 * np.diag([0.0, 1.0]).astype(complex))
+    for ref in (full, near_pure):
+        for log_ref in (logm_psd(ref), logm_psd(ref, rank_tol=1e-300)):
+            for linear in linears:
+                starts = _optim.seed_pure_states(2, 8, rng)
+                vals, psis = _optim.pure_ascent(ch, log_ref, starts, linear, iters=iters)
+                for start, val, psi in zip(starts, vals, psis):
+                    want, want_psi = _matrix_ascent(ch, log_ref, start, linear, iters)
+                    assert val == pytest.approx(want, abs=1e-10)
+                    assert abs(np.vdot(psi, want_psi)) ** 2 >= 1.0 - 1e-8
+
+
+def test_pure_ascent_returns_unmoved_starts_normalized():
+    # at the maximally mixed reference the noiseless divergence is flat
+    ch = hl.noiseless(2)
+    starts = np.array([[2.0, 0.0], [1.0, 1.0j]], dtype=complex)
+    vals, psis = _optim.pure_ascent(ch, logm_psd(np.eye(2) / 2), starts)
+    assert np.array_equal(psis, starts / np.linalg.norm(starts, axis=1)[:, None])
+    assert vals == pytest.approx([LOG2, LOG2], abs=1e-12)
+
+
+def test_qubit_solves_never_evaluate_pure_value(monkeypatch):
+    def forbidden(*args, **kw):
+        raise AssertionError("pure_value called")
+    monkeypatch.setattr(_optim, "pure_value", forbidden)
+    rng = np.random.default_rng(3)
+    ch = hl.random_channel(rng, 2, 2, 3)
+    assert hl.chi_capacity(ch, tol=1e-6).gap <= 1e-6
+    assert 0.0 <= hl.min_output_entropy(ch) <= LOG2
+    wide = hl.random_channel(rng, 2, 3, 2)
+    with pytest.raises(AssertionError, match="pure_value called"):
+        hl.chi_capacity(wide, tol=1e-6)
+    with pytest.raises(AssertionError, match="pure_value called"):
+        hl.min_output_entropy(wide)
 
 
 # --- chi_capacity -----------------------------------------------------------
@@ -159,6 +233,13 @@ def test_capacity_deterministic():
     r1 = hl.chi_capacity(ch, tol=1e-6, seed=7)
     r2 = hl.chi_capacity(ch, tol=1e-6, seed=7)
     assert r1.value == r2.value and r1.upper_bound == r2.upper_bound
+
+
+def test_capacity_keeps_raw_upper_bound(rng):
+    for ch, tol in ((hl.random_channel(rng, 2, 2, 3), 1e-6),
+                    (hl.random_channel(rng, 3, 2, 2), 1e-4)):
+        r = hl.chi_capacity(ch, tol=tol)
+        assert r.upper_bound == max(r.info["raw_upper"], r.lower_bound)
 
 
 def test_capacity_rejects_bad_tol():
@@ -645,6 +726,63 @@ def test_brute_force_brackets_regression():
         # output, and the upper end of the second and third channel falls
         assert lo >= old_lo - 1e-15
         assert lo <= up <= old_up
+
+
+def test_oracle_reference_pruning_is_exact(monkeypatch):
+    # the upper end polishes the four references of least grid sup, and
+    # skips those whose grid sup is no lower than the running min: the min
+    # equals that over all four polished
+    from holevo_lab import capacity as capmod
+    real = capmod._grid_sup_to_ref
+    calls = []
+
+    def spy(channel, blochs, out_blochs, outs, ref, neighbours=None, **kw):
+        args = (channel, blochs, out_blochs, outs, ref)
+        val = real(*args, neighbours, **kw)
+        calls.append((args, kw, neighbours, val))
+        return val
+    monkeypatch.setattr(capmod, "_grid_sup_to_ref", spy)
+    rng = np.random.default_rng(17)
+    bound = hl.ExpectationBound(hl.HermitianOperator(np.diag([0.0, 1.0])), 0.3)
+    skipped = 0
+    for rank in (2, 3, 4):
+        ch = hl.random_channel(rng, 2, 2, rank)
+        for constraint in (hl.UNCONSTRAINED, bound):
+            calls.clear()
+            hl.brute_force_capacity(ch, constraint, resolution=4096)
+            grid = [c for c in calls if c[2] is None]
+            done = [c for c in calls if c[2] is not None]
+            sups = [c[3] for c in grid]
+            neighbours = done[0][2]
+            full = [real(*grid[i][0], neighbours, **grid[i][1])
+                    for i in np.argsort(sups)[:4]]
+            assert min(full).hex() == min(c[3] for c in done).hex()
+            skipped += 4 - len(done)
+    assert skipped > 0
+
+
+# capacity values, outer iterations and oracle brackets (by float.hex) of
+# the first six qubit benchmark inputs of seed 1, recorded with the
+# per-start matrix ascent and every reference polished
+QUBIT_SEED1_PINS = (
+    ("0x1.1064779f54c26p-1", "0x1.106c924a6411dp-1", 0.5320513601011141, 7),
+    ("0x1.bdf5f86943170p-3", "0x1.be08db51888c6p-3", 0.21777576823283976, 2),
+    ("0x1.b33b568af8d18p-4", "0x1.b34f4f54562f0p-4", 0.10627068605113664, 2),
+    ("0x1.4f4fd0fc2a6f3p-1", "0x1.4f651e3ad5ca5p-1", 0.6550547800532049, 3),
+    ("0x1.b060736cc240ap-3", "0x1.b078eae078de6p-3", 0.2111450233887378, 7),
+    ("0x1.06c1350b3d50ep-2", "0x1.06ce0754c0e38p-2", 0.2566347066561604, 6),
+)
+
+
+def test_qubit_benchmark_inputs_regression():
+    rng = np.random.default_rng(1)
+    for i, (lo_hex, up_hex, value, iterations) in enumerate(QUBIT_SEED1_PINS):
+        ch = hl.random_channel(rng, 2, 2, 2 + i % 3)
+        res = hl.chi_capacity(ch, tol=1e-6)
+        lo, up = hl.brute_force_capacity(ch, resolution=16384)
+        assert (lo.hex(), up.hex()) == (lo_hex, up_hex)
+        assert res.value == pytest.approx(value, abs=1e-9)
+        assert res.iterations == iterations
 
 
 def test_oracle_weights_certify_full_grid_gap():
