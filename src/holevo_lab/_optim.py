@@ -796,7 +796,19 @@ def hhat_isometry_search(channel: Channel, rho: np.ndarray,
                          m: int | None = None, iters: int = 250,
                          warm_starts: tuple = ()):
     """Minimize sum pi_i H(Phi(rho_i)) over rank-m pure decompositions of
-    rho via projected gradient on the Stiefel manifold of isometries.
+    rho by Riemannian gradient descent on the Stiefel manifold of
+    isometries V (m, r), with rho's members the columns of E diag(sq) V^dag.
+
+    Each start tries the step 0.5 first and then Barzilai-Borwein steps
+    (Barzilai & Borwein 1988; Wen & Yin 2013) from s = V_k - V_{k-1} and
+    y = rg_k - rg_{k-1}, the change of the Riemannian gradient, with
+    <a, b> = Re tr(a^dag b): <s, s>/|<s, y>| on odd steps, |<s, y>|/<y, y>
+    on even ones, and the previous step when <s, y> = 0.  A trial is
+    accepted when it lowers the value by more than 1e-14 and halved
+    otherwise, while step |rg|^2 >= 1e-15; below that the first-order
+    decrease 2 step |rg|^2 is at least five times under the acceptance
+    margin.  A start ends when no trial is accepted, when |rg| < 1e-12,
+    or after iters steps, and the best start is returned.
 
     The descent runs on hhat_bloch_backend for qubit -> qubit channels
     (closed-form, no eigensolver) and on hhat_matrix_backend otherwise.
@@ -819,12 +831,10 @@ def hhat_isometry_search(channel: Channel, rho: np.ndarray,
     esq = e * sq[None, :]
     best = (math.inf, None)
     for v in inits:
-        if v.shape != (m, r):
-            continue
         wv = _decomposition_from_isometry(e, sq, v)
         val, cache = objective(wv)
         step = 0.5
-        for _ in range(iters):
+        for k in range(iters):
             # objective is MINIMIZED; wv = E diag(sq) V^dag, so dF/dVbar:
             g = gradient(wv, cache).conj().T @ esq  # (m, r)
             sym = v.conj().T @ g
@@ -832,20 +842,22 @@ def hhat_isometry_search(channel: Channel, rho: np.ndarray,
             gnorm = float(np.linalg.norm(rg))
             if gnorm < 1e-12:
                 break
-            moved = False
-            for _ in range(30):
+            if k:
+                # Barzilai-Borwein steps, long and short in turn
+                s, y = v - v_prev, rg - rg_prev
+                sy = abs(np.vdot(s, y).real)
+                if sy > 0.0:
+                    step = np.vdot(s, s).real / sy if k % 2 else sy / np.vdot(y, y).real
+            v_prev, rg_prev = v, rg
+            while step * gnorm * gnorm >= 1e-15:
                 v_new = _stiefel_retract(v - step * rg)
                 wv_new = _decomposition_from_isometry(e, sq, v_new)
                 val_new, cache_new = objective(wv_new)
                 if val_new < val - 1e-14:
                     v, wv, val, cache = v_new, wv_new, val_new, cache_new
-                    step *= 1.4
-                    moved = True
                     break
                 step *= 0.5
-                if step < 1e-12:
-                    break
-            if not moved:
+            if v is v_prev:  # no trial was accepted
                 break
         if val < best[0]:
             best = (val, wv)

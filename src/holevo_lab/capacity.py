@@ -104,7 +104,10 @@ class SolverOptions:
     seed: seed of the generator behind every randomized inner search.
     grid: Bloch-grid size of the qubit divergence sup.
     hhat_grid: Bloch-grid size of the qubit convex-closure LP.
-    hhat_starts: starts of the convex-closure isometry descent.
+    hhat_starts: starts of the convex-closure isometry descent: the
+        spectral start and hhat_starts - 1 random ones; qubit inputs run
+        the grid-LP warm start, the spectral start and
+        min(hhat_starts, 2) - 1 random starts.
     """
 
     tol: float = 1e-6
@@ -135,8 +138,11 @@ def _merge_opts(opts, **kw) -> SolverOptions:
 class CapacityResult:
     """Capacity value with certified bounds and the optimizing data.
 
-    info of a support solve holds raw_upper, the divergence radius as
-    found; upper_bound is max(raw_upper, lower_bound)."""
+    info holds raw_upper, the upper bound as found: the divergence radius
+    of a support solve, and for a singleton constraint {rho} the cross
+    entropy -Tr Phi(rho) log omega against the smoothed output omega, less
+    the convex closure at rho.  upper_bound is
+    max(raw_upper, lower_bound)."""
 
     value: float
     lower_bound: float
@@ -407,14 +413,14 @@ def _solve_singleton_problem(channel: Channel, constraint: Singleton,
     mix_out = channel.apply_raw(np.eye(channel.d_in, dtype=complex) / channel.d_in)
     delta = _smoothing_for(mix_out)
     omega_cert = (1.0 - delta) * out + delta * mix_out
-    upper = -hval - float(np.real(np.trace(out @ logm_psd(omega_cert))))
-    upper = max(upper, value)
+    # the bound at the smoothed output, before it is raised to the value
+    raw_upper = -hval - float(np.real(np.trace(out @ logm_psd(omega_cert))))
     return CapacityResult(
-        value=value, lower_bound=value, upper_bound=upper,
+        value=value, lower_bound=value, upper_bound=max(raw_upper, value),
         witness=witness, omega=omega, iterations=1,
         heuristic_upper=True,
         wall_time_s=time.monotonic() - t0,
-        info={"hhat": hval},
+        info={"hhat": hval, "raw_upper": raw_upper},
     )
 
 

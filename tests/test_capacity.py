@@ -245,6 +245,12 @@ def test_capacity_keeps_raw_upper_bound(rng):
         assert r.upper_bound == max(r.info["raw_upper"], r.lower_bound)
 
 
+def test_singleton_capacity_keeps_raw_upper_bound(rng):
+    ch = hl.random_channel(rng, 2, 2, 2)
+    r = hl.chi_capacity(ch, hl.Singleton(random_density(rng, 2)))
+    assert r.upper_bound == max(r.info["raw_upper"], r.lower_bound)
+
+
 def test_capacity_rejects_bad_tol():
     with pytest.raises(hl.InvalidOperand):
         hl.chi_capacity(hl.noiseless(2), opts=SolverOptions(tol=-1.0))
@@ -295,6 +301,18 @@ def test_hhat_matches_entanglement_of_formation(rng):
         got = hl.convex_closure_output_entropy(ch, rho, seed=3)
         want = wootters_eof_nats(rho.mat)
         assert got == pytest.approx(want, abs=2e-4)
+
+
+def test_hhat_entanglement_of_formation_accuracy():
+    # the matrix-backend descent converges on the two-qubit closed form
+    ch = partial_trace_channel()
+    from conftest import bell_state, werner_state
+    gen = np.random.default_rng(0)
+    cases = [bell_state(), werner_state(0.75), werner_state(0.5)]
+    cases += [random_density(gen, 4) for _ in range(8)]
+    for rho in cases:
+        got = hl.convex_closure_output_entropy(ch, rho, seed=3)
+        assert got == pytest.approx(wootters_eof_nats(rho.mat), abs=1e-9)
 
 
 def test_hhat_pure_bipartite_is_reduced_entropy(rng):
@@ -453,6 +471,37 @@ def test_chi_function_chain_regression():
         assert got == pytest.approx(want, abs=1e-12)
     res = verify.suite_chain(cases=50)
     assert res.max_residual == pytest.approx(SUITE_CHAIN_50_MAX_RESIDUAL, abs=1e-12)
+
+
+def test_hhat_descent_work(monkeypatch):
+    # objective and gradient calls of the Bloch-backend descent over the
+    # chi workload's nine Kraus-rank pairs (27 chi_function calls)
+    from holevo_lab import verify
+    calls = {"objective": 0, "gradient": 0}
+    bloch_backend = _optim.hhat_bloch_backend
+
+    def counted(channel):
+        objective, gradient = bloch_backend(channel)
+
+        def obj(wv):
+            calls["objective"] += 1
+            return objective(wv)
+
+        def grad(wv, cache):
+            calls["gradient"] += 1
+            return gradient(wv, cache)
+        return obj, grad
+
+    monkeypatch.setattr(_optim, "hhat_bloch_backend", counted)
+    gen = np.random.default_rng(1)
+    for i in range(9):
+        phi = hl.random_channel(gen, 2, 2, 1 + i % 3)
+        psi = hl.random_channel(gen, 2, 2, 1 + i // 3 % 3)
+        rho = random_density(gen, 2)
+        mid = hl.DensityOperator(phi.apply_raw(rho.mat))
+        for ch, state in ((hl.compose(psi, phi), rho), (phi, rho), (psi, mid)):
+            hl.chi_function(ch, state, verify.CHI_OPTS)
+    assert calls["objective"] <= 3000
 
 
 # --- weight solver backends --------------------------------------------------
