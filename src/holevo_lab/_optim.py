@@ -1,6 +1,6 @@
-"""Solver internals: simplex projections, ensemble-weight solves, pure-state
-maximization, and decomposition search for the convex closure of the
-output entropy.
+"""Solver internals: ensemble-weight solves on the simplex (linear rows on
+the weights through their Lagrange multipliers), pure-state maximization,
+and decomposition search for the convex closure of the output entropy.
 
 Everything here works on raw ndarrays and is deterministic for a fixed
 numpy Generator.
@@ -30,7 +30,7 @@ MULTISTART = 32
 
 
 # ---------------------------------------------------------------------------
-# projections
+# projections (no solver calls them; perfbench/tracing.py wraps the halfspace one)
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex."""
@@ -67,30 +67,6 @@ def project_simplex_halfspace(v: np.ndarray, a: np.ndarray, h: float) -> np.ndar
     return project_simplex(v - hi * a)
 
 
-def project_affine_factory(a: np.ndarray, b: np.ndarray):
-    """Projector onto {w : A w = b} (least squares via pseudo-inverse)."""
-    pinv = np.linalg.pinv(a)
-    def proj(v):
-        return v + pinv @ (b - a @ v)
-    return proj
-
-
-def dykstra(v: np.ndarray, projectors) -> np.ndarray:
-    """Dykstra's alternating projections onto an intersection of convex
-    sets: 400 sweeps, or until a sweep moves no entry by 1e-10."""
-    x = v.copy()
-    corrections = [np.zeros_like(v) for _ in projectors]
-    for _ in range(400):
-        x_prev = x.copy()
-        for i, proj in enumerate(projectors):
-            y = proj(x + corrections[i])
-            corrections[i] = x + corrections[i] - y
-            x = y
-        if np.max(np.abs(x - x_prev)) < 1e-10:
-            break
-    return x
-
-
 # ---------------------------------------------------------------------------
 # chi over ensemble weights (concave maximization on a convex weight set)
 #
@@ -104,15 +80,17 @@ class WeightSolve(NamedTuple):
     """Weights, chi at them, a gap and the stop reason: converged,
     stalled or max_iter.  On the bare simplex the gap is the Frank-Wolfe
     gap max_i g_i - g.w (g the member divergences to the average output),
-    which bounds how far chi lies below its maximum over the members; it
-    is the duality gap under an energy row, whose Lagrange multiplier is
-    multiplier (see multiplier_solve), and on a projected feasible set
-    only the ascent's stationarity measure."""
+    which bounds how far chi lies below its maximum over the members.
+    Under linear rows on the weights it is the duality gap, and
+    multiplier holds the rows' Lagrange multipliers: a float for one
+    energy row (see multiplier_solve), the vector y for row_solve, whose
+    columns (m, n) start the next row_solve."""
     w: np.ndarray
     chi: float
     gap: float
     stop: str
-    multiplier: float = 0.0
+    multiplier: float | np.ndarray = 0.0
+    columns: np.ndarray | None = None
 
 
 def _frank_wolfe_gap(grad: np.ndarray, w: np.ndarray) -> float:
@@ -198,22 +176,18 @@ def weight_backend(outs: np.ndarray):
         else matrix_backend(outs)
 
 
-def maximize_chi_weights(outs: np.ndarray, w0: np.ndarray, projector=None,
+def maximize_chi_weights(outs: np.ndarray, w0: np.ndarray,
                          max_iter: int = 2000) -> WeightSolve:
-    """Maximize H(sum_i w_i Y_i) - sum_i w_i H(Y_i) over feasible weights.
+    """Maximize H(sum_i w_i Y_i) - sum_i w_i H(Y_i) over the simplex.
 
-    outs: stack (m, d, d) of member outputs, on weight_backend.  On the
-    bare simplex (projector None) an active-set Newton solve runs from w0
-    until the Frank-Wolfe gap is at most 1e-11; a custom feasible-set
-    projector switches to Euclidean projected ascent (see _ascend),
-    capped at max_iter steps.  For many members of which few carry
-    weight, column_generation is the faster bare-simplex solve, and an
-    energy row a.w <= h goes through multiplier_solve.
+    outs: stack (m, d, d) of member outputs, on weight_backend.  An
+    active-set Newton solve runs from w0 until the Frank-Wolfe gap is at
+    most 1e-11, or for max_iter steps.  For many members of which few
+    carry weight, column_generation is the faster solve; an energy row
+    a.w <= h goes through multiplier_solve, and several linear rows
+    through row_solve.
     """
-    backend = weight_backend(outs)
-    if projector is None:
-        return _active_set_solve(backend, w0, max_iter, 1e-11)
-    return _ascend(backend, w0, projector, max_iter, 1e-11)
+    return _active_set_solve(weight_backend(outs), w0, max_iter, 1e-11)
 
 
 def column_generation(backend, m: int) -> WeightSolve:
@@ -295,32 +269,64 @@ def multiplier_solve(make_backend, members: np.ndarray, a: np.ndarray, h: float,
     return WeightSolve(w, chi, gap, "converged" if gap <= 1e-10 else "stalled", lmb)
 
 
-def _ascend(backend, w0, projector, max_iter: int, stat_tol: float) -> WeightSolve:
-    """Backtracked Euclidean projected ascent on the feasible set of
-    projector, until the stationarity gap max(grad) - grad.w falls to
-    stat_tol, no step improves the objective, or after max_iter steps."""
-    objective, gradient = backend[:2]
-    w = projector(np.asarray(w0, dtype=float))
-    obj, avg = objective(w)
-    t = 1.0
-    for _ in range(max_iter):
-        grad = gradient(avg)
-        gap = _frank_wolfe_gap(grad, w)
-        if gap <= stat_tol:
-            return WeightSolve(w, obj, gap, "converged")
-        for _ in range(60):
-            w_new = projector(w + t * grad)
-            obj_new, avg_new = objective(w_new)
-            if obj_new > obj + 1e-15:
-                w, obj, avg = w_new, obj_new, avg_new
-                t *= 1.5
-                break
-            t *= 0.5
-            if t < 1e-13:
-                return WeightSolve(w, obj, gap, "stalled")
-        else:
-            return WeightSolve(w, obj, gap, "stalled")
-    return WeightSolve(w, obj, _frank_wolfe_gap(gradient(avg), w), "max_iter")
+def row_lp(values: np.ndarray, cols: np.ndarray, rhs: np.ndarray, ineq: np.ndarray):
+    """Maximize values.mu over mu in the simplex with cols mu = rhs, or <=
+    rhs on the rows marked ineq (cols (K, n)), by HiGHS.  Returns (mu,
+    value, y), y the row duals (>= 0 on the ineq rows): value = y.rhs +
+    max_j (values_j - y.cols_j).  At HiGHS's default dual tolerance, 1e-7,
+    columns of that much reduced value stay out and row_solve stalls."""
+    eq = ~ineq
+    res = sciopt.linprog(-values, A_ub=cols[ineq], b_ub=rhs[ineq],
+                         A_eq=np.vstack((cols[eq], np.ones(cols.shape[1]))),
+                         b_eq=np.append(rhs[eq], 1.0), bounds=(0, None), method="highs",
+                         options={"dual_feasibility_tolerance": 1e-10})
+    if not res.success:
+        raise RuntimeError(f"row LP failed: {res.message}")
+    y = np.empty(len(rhs))
+    y[eq], y[ineq] = -res.eqlin.marginals[:-1], -res.ineqlin.marginals
+    return res.x, -float(res.fun), y
+
+
+def row_solve(backend, a: np.ndarray, rhs: np.ndarray, ineq: np.ndarray,
+              starts: np.ndarray, max_iter: int = 1000) -> WeightSolve:
+    """Maximize chi over the weights w with a w = rhs, or <= rhs on the
+    rows marked ineq (a (K, m) the rows at the members), by Dantzig-Wolfe
+    column generation (Dantzig & Wolfe 1960).  A master LP (row_lp) mixes
+    the simplex vertices (chi 0) and the columns so far, the columns of
+    starts (m, n) first; its duals y price the next column, the
+    active-set solve of chi(w) - y.a w from the last column.  Weak duality
+    bounds chi on the rows by y.rhs + that maximum + its Frank-Wolfe gap;
+    chi of the LP mix, feasible, is at least the LP value as chi is
+    concave.  Returns the gap to the least bound, its y, and the columns
+    but the vertices.  Stops at a gap of 1e-10, when a column does not
+    beat the master's reduced value (stalled), or after 200 columns."""
+    objective, gradient, hessian = backend
+    m = a.shape[1]
+    cols = np.column_stack((np.eye(m), starts))
+    vals = np.append(np.zeros(m), [objective(c)[0] for c in starts.T])
+    price, upper, best = starts[:, -1], math.inf, None
+    for _ in range(200):
+        mu, lp_value, y = row_lp(vals, a @ cols, rhs, ineq)
+        w = cols @ mu
+        shift = y @ a
+
+        def lagrangian(v):
+            val, avg = objective(v)
+            return val - float(shift @ v), avg
+        sol = _active_set_solve((lagrangian, lambda avg: gradient(avg) - shift, hessian),
+                                price, max_iter, 1e-10, batch=8)
+        bound = float(y @ rhs) + sol.chi + sol.gap
+        if bound < upper:
+            upper, best = bound, y
+        chi = objective(w)[0]
+        stop = "converged" if upper - chi <= 1e-10 else \
+            "stalled" if sol.chi <= lp_value - float(y @ rhs) + 1e-15 else None
+        if stop:
+            return WeightSolve(w, chi, upper - chi, stop, best, cols[:, m:])
+        cols = np.column_stack((cols, sol.w))
+        vals = np.append(vals, objective(sol.w)[0])
+        price = sol.w
+    return WeightSolve(w, chi, upper - chi, "max_iter", best, cols[:, m:])
 
 
 def _tangent_basis(k: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,22 +23,17 @@ from .capacity import (
     ExpectationBound,
     Singleton,
     SolverOptions,
-    Unconstrained,
     UNCONSTRAINED,
     _merge_opts,
     _solve_support_problem,
+    chi_capacity,
     chi_function,
+    constraint_satisfied,
     convex_closure_output_entropy,
 )
 from .channels import Channel, reduced_states, tensor_channel
-from .opalg import (
-    DensityOperator,
-    DimensionMismatch,
-    HermitianOperator,
-    entropy_batch,
-    partial_trace_raw,
-    trace_norm,
-)
+from .ensembles import average_state
+from .opalg import DensityOperator, DimensionMismatch, entropy_batch, trace_norm
 
 
 @dataclass(frozen=True)
@@ -49,55 +44,34 @@ class ProductConstraint:
     right: ConstraintSet
 
     def is_member(self, rho: np.ndarray, dims: tuple[int, int], tol: float = 1e-8) -> bool:
-        from .capacity import constraint_satisfied
         wa, wb = reduced_states(rho, dims)
         return (constraint_satisfied(self.left, wa, tol)
                 and constraint_satisfied(self.right, wb, tol))
 
 
-def _marginal_rows(side: ConstraintSet, dims: tuple[int, int], which: int,
-                   support: list[np.ndarray]):
-    """Real affine rows / halfspace data for one marginal constraint in
-    weight space."""
-    da, db = dims
-    d_side = da if which == 0 else db
-    margs = []
-    for v in support:
-        rho = np.outer(v, v.conj())
-        margs.append(partial_trace_raw(rho, dims, which))
-    margs = np.stack(margs)
-    if isinstance(side, Singleton):
-        rows, rhs = [], []
-        target = side.rho.mat
-        for r in range(d_side):
-            for c in range(r, d_side):
-                rows.append(np.real(margs[:, r, c]))
-                rhs.append(float(np.real(target[r, c])))
-                if c > r:
-                    rows.append(np.imag(margs[:, r, c]))
-                    rhs.append(float(np.imag(target[r, c])))
-        return ("affine", np.array(rows), np.array(rhs))
-    if isinstance(side, ExpectationBound):
-        a = np.real(np.einsum("ijk,kj->i", margs, side.H.mat))
-        return ("halfspace", a, side.h)
-    return None
-
-
-def _product_projector_factory(pc: ProductConstraint, dims: tuple[int, int]):
-    def factory(support):
-        rows = [_marginal_rows(side, dims, which, support)
-                for side, which in ((pc.left, 0), (pc.right, 1))]
-        rows = [row for row in rows if row is not None]
-        sets = []
-        for kind, a, b in rows:
-            if kind == "affine":
-                sets.append(_optim.project_affine_factory(a, b))
-            else:
-                sets.append(lambda w, aa=a, hh=b:
-                            w if aa @ w <= hh else w - ((aa @ w - hh) / (aa @ aa)) * aa)
-        projs = [_optim.project_simplex] + sets
-        return lambda w: _optim.dykstra(w, projs)
-    return factory
+def _product_rows(pc: ProductConstraint, dims: tuple[int, int]):
+    """The product constraint as rows (ops (K, d, d), rhs (K,), ineq (K,))
+    on the joint input (see capacity._solve_support_problem), or None if
+    both sides are free.  A singleton side {sigma} gives X x I with
+    Tr(rho X x I) = Tr(sigma X), for the real and imaginary parts of
+    sigma's entries on and above the diagonal (the last diagonal entry
+    follows from the trace); an energy side gives H x I <= h (I x . on
+    the right)."""
+    rows = []
+    for side, d, embed in ((pc.left, dims[0], lambda x: np.kron(x, np.eye(dims[1]))),
+                           (pc.right, dims[1], lambda x: np.kron(np.eye(dims[0]), x))):
+        if isinstance(side, ExpectationBound):
+            rows.append((embed(side.H.mat), side.h, True))
+        elif isinstance(side, Singleton):
+            for r, c in list(zip(*np.triu_indices(d)))[:-1]:
+                for z in ((1.0,) if r == c else (0.5, -0.5j)):
+                    x = np.zeros((d, d), dtype=complex)
+                    x[c, r], x[r, c] = z, np.conj(z)
+                    rows.append((embed(x), float(np.real(np.trace(side.rho.mat @ x))), False))
+    if not rows:
+        return None
+    ops, rhs, ineq = zip(*rows)
+    return np.stack(ops), np.array(rhs), np.array(ineq)
 
 
 def _product_seed_vectors(pc: ProductConstraint, dims: tuple[int, int]):
@@ -128,19 +102,20 @@ def joint_capacity(phi: Channel, psi: Channel, pc: ProductConstraint,
 
     The support is seeded with products of single-channel witness states,
     which makes the one-sided bound lhs >= rhs_left + rhs_right automatic
-    up to solver tolerance.  The upper bound for the joint problem comes
-    from non-exhaustive inner maximization and is flagged heuristic.  One
-    energy-bounded side with the other unconstrained is the energy bound
-    H x I (or I x H) on the joint input, bounded by its Lagrangian radius;
-    under other constraints the bound is the unconstrained divergence
-    radius, valid but loose.
+    up to solver tolerance.  A constrained side becomes rows on the joint
+    input (see _product_rows): the weights run Dantzig-Wolfe column
+    generation over them, and the upper bound is their Lagrangian
+    divergence radius, y.rhs + sup of the divergence less <psi|sum_k y_k
+    O_k|psi>, valid for every multiplier y; y are the _optim.row_lp duals
+    over the support's divergences, and info["multiplier"].  On
+    inputs of dimension >= 3 the sup is a multi-start search, so the bound
+    is flagged heuristic.
     """
     opts = _merge_opts(opts, **kw)
     joint = tensor_channel(phi, psi)
     dims = (phi.d_in, psi.d_in)
 
     if _singles is None:
-        from .capacity import chi_capacity
         left = chi_capacity(phi, pc.left, opts)
         right = chi_capacity(psi, pc.right, opts)
     else:
@@ -151,20 +126,11 @@ def joint_capacity(phi: Channel, psi: Channel, pc: ProductConstraint,
         for _, rb in right.witness.items:
             seeds.append(np.kron(_pure_vector(ra.mat), _pure_vector(rb.mat)))
 
-    constrained = not (isinstance(pc.left, Unconstrained)
-                       and isinstance(pc.right, Unconstrained))
-    left, right, energy = pc.left, pc.right, None
-    if isinstance(left, ExpectationBound) and isinstance(right, Unconstrained):
-        energy = ExpectationBound(HermitianOperator(np.kron(left.H.mat, np.eye(dims[1]))), left.h)
-    elif isinstance(left, Unconstrained) and isinstance(right, ExpectationBound):
-        energy = ExpectationBound(HermitianOperator(np.kron(np.eye(dims[0]), right.H.mat)), right.h)
-    factory = _product_projector_factory(pc, dims) if constrained and energy is None else None
-    result = _solve_support_problem(joint, energy or UNCONSTRAINED, opts,
-                                    projector_factory=factory, extra_seeds=seeds)
-    from .ensembles import average_state
+    result = _solve_support_problem(joint, UNCONSTRAINED, opts,
+                                    rows=_product_rows(pc, dims), extra_seeds=seeds)
     if not pc.is_member(average_state(result.witness).mat, dims):
         raise RuntimeError("joint witness violates the product constraint")
-    return replace(result, heuristic_upper=True) if constrained else result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +236,6 @@ def additivity_report(phi: Channel, ca: ConstraintSet, psi: Channel,
                       label: str = "", **kw) -> AdditivityReport:
     opts = _merge_opts(opts, **kw)
     t0 = time.monotonic()
-    from .capacity import chi_capacity
     left = chi_capacity(phi, ca, opts)
     right = chi_capacity(psi, cb, opts)
     joint = joint_capacity(phi, psi, ProductConstraint(ca, cb), opts,

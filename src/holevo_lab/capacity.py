@@ -142,7 +142,10 @@ class CapacityResult:
     of a support solve, and for a singleton constraint {rho} the cross
     entropy -Tr Phi(rho) log omega against the smoothed output omega, less
     the convex closure at rho.  upper_bound is
-    max(raw_upper, lower_bound)."""
+    max(raw_upper, lower_bound).  Under an energy bound info["multiplier"]
+    is the energy row's Lagrange multiplier; for a joint problem under a
+    product constraint (see additivity.joint_capacity) it is the row
+    vector y behind the bound."""
 
     value: float
     lower_bound: float
@@ -266,8 +269,12 @@ def _dedupe_append(support: list[np.ndarray], cands) -> int:
 
 
 def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
-                           opts: SolverOptions, projector_factory=None,
+                           opts: SolverOptions, rows=None,
                            extra_seeds=()) -> CapacityResult:
+    """rows = (ops (K, d, d), rhs (K,), ineq (K,)) asks Tr(rho O_k) = rhs_k,
+    or <= rhs_k where ineq[k], of the average input (see
+    additivity.joint_capacity).  The support is then never pruned: its
+    zero-weight states are the cuts that pin the rows' multipliers."""
     t0 = time.monotonic()
     rng = np.random.default_rng(opts.seed)
     d = channel.d_in
@@ -294,25 +301,42 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
 
     energy = isinstance(constraint, ExpectationBound)
 
+    def row_values():
+        psis = np.stack(support)
+        return np.real(np.einsum("gi,kij,gj->kg", psis.conj(), rows[0], psis))
+
     def weight_solve(outs, w0):
         if energy:  # through the multiplier of the energy row
             psis = np.stack(support)
             a = np.real(np.einsum("gi,ij,gj->g", psis.conj(), constraint.H.mat, psis))
             return _optim.multiplier_solve(_optim.weight_backend, outs, a, constraint.h,
                                            w0, opts.max_iter)
-        projector = projector_factory(support) if projector_factory else None
-        return _optim.maximize_chi_weights(outs, w0, projector, opts.max_iter)
+        if rows is not None:  # from the last solve's columns, padded for new states
+            starts = w0[:, None] if solve is None else \
+                np.pad(solve.columns, ((0, len(w0) - len(solve.columns)), (0, 0)))
+            return _optim.row_solve(_optim.weight_backend(outs), row_values(), rows[1],
+                                    rows[2], starts, opts.max_iter)
+        return _optim.maximize_chi_weights(outs, w0, opts.max_iter)
 
     def radius_fn(ref, o):
+        # (bound, argmax states, certified, multiplier, linear term)
         if energy:  # the Lagrangian bound at the weights' own multiplier
-            return _radius_expectation(channel, constraint, ref, rng, o, solve.multiplier)
-        return _optim.radius_sup(channel, ref, rng, grid=o.grid)
+            lmb = solve.multiplier
+            linear = lmb * constraint.H.mat if math.isfinite(lmb) else None
+            return (*_radius_expectation(channel, constraint, ref, rng, o, lmb), lmb, linear)
+        if rows is not None:
+            divs = _optim.relent_to_ref_batch(outs, ref)
+            y = _optim.row_lp(divs, row_values(), rows[1], rows[2])[2]
+            linear = np.einsum("k,kij->ij", y, rows[0])
+            val, states, cert = _optim.radius_sup(channel, ref, rng, grid=o.grid, linear=linear)
+            return float(y @ rows[1]) + val, states, cert, y, linear
+        return (*_optim.radius_sup(channel, ref, rng, grid=o.grid), None, None)
 
     coarse_opts = opts if opts.grid <= 1024 else replace(opts, grid=1024)
 
     mix_out = channel.apply_raw(np.eye(d, dtype=complex) / d)
     delta = _smoothing_for(mix_out)
-    w = None
+    w = solve = None
     chi_val = -math.inf
     upper = math.inf
     certified = True
@@ -332,10 +356,10 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
         omega_cert = (1.0 - delta) * omega + delta * mix_out
 
         # explore with a coarse grid; certify at full quality before stopping
-        upper, new_states, certified = radius_fn(omega_cert, coarse_opts)
+        upper, new_states, certified, multiplier, linear = radius_fn(omega_cert, coarse_opts)
         if not math.isinf(upper) and upper - chi_val <= opts.tol:
             if coarse_opts is not opts:
-                upper, new_states, certified = radius_fn(omega_cert, opts)
+                upper, new_states, certified, multiplier, linear = radius_fn(omega_cert, opts)
             if upper - chi_val <= opts.tol:
                 break
         gap_now = upper - chi_val if not math.isinf(upper) else math.inf
@@ -350,12 +374,10 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
             _dedupe_append(support, _grid_seed_states())
         # move live support states to their local divergence maxima at
         # the current output (in addition to the global argmax states),
-        # less the multiplier times the energy under an energy row
+        # less the bound's linear term under rows or an energy row
         polish = []
         if not math.isinf(upper):
             log_oc = logm_psd(omega_cert, rank_tol=1e-300)
-            linear = solve.multiplier * constraint.H.mat \
-                if energy and math.isfinite(solve.multiplier) else None
             top = [i for i in np.argsort(w)[::-1][:8] if w[i] > 1e-10]
             polish = list(_optim.pure_ascent(channel, log_oc, np.stack([support[i] for i in top]),
                                              linear, iters=60)[1])
@@ -363,7 +385,7 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
         added += _dedupe_append(support, polish)
         if added == 0:
             break
-        if len(support) > cap:
+        if len(support) > cap and rows is None:
             live = w > 1e-12
             keep_idx = [i for i in range(len(w)) if live[i]]
             support = [support[i] for i in keep_idx] + support[len(w):]
@@ -387,8 +409,8 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
     info = {"raw_upper": upper, "support_size": len(states), "weight_gap": solve.gap,
             "weight_stop": solve.stop}
     upper = max(upper, lower)
-    if energy:
-        info["multiplier"] = solve.multiplier
+    if energy or rows is not None:
+        info["multiplier"] = solve.multiplier if energy else multiplier
     return CapacityResult(
         value=lower, lower_bound=lower, upper_bound=upper,
         witness=witness, omega=omega, iterations=outer,

@@ -166,6 +166,12 @@ def _display(value: float, base: str) -> float:
     return value / LN2 if base == "bits" else value
 
 
+def _converged(result, tol: float) -> bool:
+    """The bracket is within tol, and the upper bound as found (before it
+    is raised to the lower bound) does not lie below the lower bound."""
+    return result.gap <= tol and result.info["raw_upper"] >= result.lower_bound - 1e-12
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -192,7 +198,7 @@ def cmd_capacity(args) -> int:
         "wall_time_s": result.wall_time_s if args.timing else None,
     }
     _write_json(payload, args.out)
-    return 0 if result.gap <= args.tol else 2
+    return 0 if _converged(result, args.tol) else 2
 
 
 def cmd_chi(args) -> int:
@@ -257,8 +263,8 @@ def cmd_additivity(args) -> int:
     else:
         _write_json({"rows": [{k: r[k] for k in addmod.REPORT_COLUMNS}
                               for r in rows]}, args.out)
-    converged = all(max(rep.lhs.gap, rep.rhs_left.gap, rep.rhs_right.gap) <= args.tol
-                    for rep in reports)
+    converged = all(_converged(res, args.tol)
+                    for rep in reports for res in (rep.lhs, rep.rhs_left, rep.rhs_right))
     return 0 if converged else 2
 
 

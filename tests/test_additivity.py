@@ -23,6 +23,10 @@ def h2(q):
     return -q * math.log(q) - (1 - q) * math.log(1 - q)
 
 
+def energy_bound(h):
+    return hl.ExpectationBound(hl.HermitianOperator(np.diag([0.0, 1.0]).astype(complex)), h)
+
+
 def two_qubit_state_grid(seed: int = 42, n_pure: int = 32,
                          n_mixed: int = 32) -> list[hl.DensityOperator]:
     """Fixed seeded grid: canonical states plus Haar-like pure and
@@ -68,17 +72,38 @@ def test_joint_lower_bound_dominates_sum(eb_channel):
     assert joint.lower_bound >= left.value + right.value - 1e-5
 
 
+def test_joint_capacity_two_energy_sides():
+    # an energy bound on each side: the witness meets both, and the joint
+    # value is at least the sum of the single capacities
+    rng = np.random.default_rng(3)
+    a = hl.random_channel(rng, 2, 2, 2)
+    b = hl.random_channel(rng, 2, 2, 3)
+    pc = ProductConstraint(energy_bound(0.3), energy_bound(0.35))
+    left = hl.chi_capacity(a, pc.left, tol=1e-5, grid=1024)
+    right = hl.chi_capacity(b, pc.right, tol=1e-5, grid=1024)
+    r = hl.joint_capacity(a, b, pc, tol=1e-5, grid=1024, _singles=(left, right))
+    assert pc.is_member(hl.average_state(r.witness).mat, (2, 2))
+    assert r.value >= left.value + right.value - 1e-9
+    assert r.gap <= 1e-5
+
+
 def test_joint_capacity_singleton_marginals():
-    # {I/2} x {I/2} for noiseless factors: entangled inputs allowed, the
-    # capacity is log 4 (achieved by decompositions of I/4)
-    pc = hl.ProductConstraint(hl.Singleton(hl.DensityOperator.maximally_mixed(2)),
-                              hl.Singleton(hl.DensityOperator.maximally_mixed(2)))
-    r = hl.joint_capacity(hl.noiseless(2), hl.noiseless(2), pc, tol=1e-4, grid=512)
-    assert r.value == pytest.approx(math.log(4), abs=1e-4)
-    avg = hl.average_state(r.witness).mat
-    from holevo_lab.opalg import partial_trace_raw
-    assert trace_norm(partial_trace_raw(avg, (2, 2), 0) - np.eye(2) / 2) < 1e-7
-    assert trace_norm(partial_trace_raw(avg, (2, 2), 1) - np.eye(2) / 2) < 1e-7
+    # noiseless factors under a product constraint: the capacity is the
+    # most entropy of the marginals, h2 of a singleton's spectrum (log 2
+    # for {I/2}), log 2 for a free side and h2(h) for an energy side with
+    # h < 1/2; {I/2} x {I/2} is reached by decompositions of I/4
+    half = hl.Singleton(hl.DensityOperator.maximally_mixed(2))
+    diag = hl.Singleton(hl.DensityOperator(np.diag([0.7, 0.3]).astype(complex)))
+    cases = [(half, half, 2 * LOG2),
+             (diag, hl.UNCONSTRAINED, h2(0.7) + LOG2),
+             (energy_bound(0.3), energy_bound(0.35), h2(0.3) + h2(0.35)),
+             (diag, energy_bound(0.2), h2(0.7) + h2(0.2))]
+    for left, right, exact in cases:
+        pc = ProductConstraint(left, right)
+        r = hl.joint_capacity(hl.noiseless(2), hl.noiseless(2), pc, tol=1e-5, grid=1024)
+        assert r.value == pytest.approx(exact, abs=1e-9)
+        assert r.gap <= 1e-5
+        assert pc.is_member(hl.average_state(r.witness).mat, (2, 2), tol=1e-8)
 
 
 def test_additivity_report_additive_instance(eb_channel):
@@ -222,9 +247,10 @@ def test_report_csv(tmp_path, eb_channel):
 
 
 def test_joint_capacity_one_energy_bound():
-    # one energy-bounded side is the energy bound H x I on the joint
-    # input: its witness is feasible, and its value is at least that of
-    # the projected ascent on the product constraint (0.854278592985)
+    # one energy-bounded side is the row H x I <= h on the joint input:
+    # its witness is feasible, its value is at least the one a projected
+    # ascent on the product constraint once reached (0.854278592985), and
+    # the row's multiplier is nonnegative
     rng = np.random.default_rng(3)
     a = hl.random_channel(rng, 2, 2, 2)
     b = hl.random_channel(rng, 2, 2, 3)

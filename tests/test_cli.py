@@ -210,6 +210,37 @@ def test_additivity_exit_code_joint_gap(tmp_path, monkeypatch, capsys):
     assert code == 2
 
 
+def _below_lower(res):
+    # the upper bound as found lies below the lower bound: the reported
+    # gap (after raising it to the lower bound) stays 0
+    return dataclasses.replace(res, info={**res.info, "raw_upper": res.lower_bound - 1e-6})
+
+
+def test_capacity_exit_code_inconsistent_bound(monkeypatch, capsys):
+    import holevo_lab.cli as cli
+    real = cli.chi_capacity
+    monkeypatch.setattr(cli, "chi_capacity", lambda *a, **k: _below_lower(real(*a, **k)))
+    code, out = run_cli(["capacity", "--channel", '{"kind":"noiseless","d":2}'], capsys)
+    assert code == 2
+    assert json.loads(out)["gap"] <= 1e-6
+
+
+def test_additivity_exit_code_inconsistent_bound(tmp_path, monkeypatch, capsys):
+    import holevo_lab.additivity as addmod
+    real = addmod.additivity_report
+
+    def low_right(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(rep, rhs_right=_below_lower(rep.rhs_right))
+    monkeypatch.setattr(addmod, "additivity_report", low_right)
+    code, _ = run_cli(["additivity",
+                       "--left", '{"kind":"noiseless","d":2}',
+                       "--right", '{"kind":"depolarizing","d":2,"p":0.3}',
+                       "--tol", "1e-5", "--resolution", "1024",
+                       "--out", str(tmp_path / "add.csv")], capsys)
+    assert code == 2
+
+
 def test_entry_point_installed():
     # the package need not be installed: run it from the repository's src
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
