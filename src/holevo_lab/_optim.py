@@ -627,23 +627,29 @@ def _is_classical(channel: Channel, linear: np.ndarray | None = None) -> bool:
 
 def radius_sup(channel: Channel, ref: np.ndarray, rng: np.random.Generator,
                grid: int = 4096, linear: np.ndarray | None = None,
-               polish: bool = True):
-    """sup over pure inputs of H(Phi(psi)||ref) - <psi|L|psi>.
+               polish: bool = True, starts: np.ndarray | None = None):
+    """sup over pure inputs of D(Phi(psi)||ref) - <psi|L|psi>.
 
     Returns (value, argmax_vectors, certified).  certified is True when
     the sup is exact up to grid refinement: classical channels (vertex
     property of the dephased simplex, see _is_classical) and qubit inputs
-    (dense Bloch grid plus local polish).  The polish is one pure_ascent
-    from the best grid points (8 for qubit inputs, closed form on qubit
-    outputs) or the best half of the MULTISTART seeds; polish=False skips
-    it, for callers that only need a cheap ranking.
+    (dense Bloch grid plus local polish).  The value is +inf, whatever L,
+    when some pure input has output weight outside supp ref.  The polish
+    is one pure_ascent from the best grid points (8 for qubit inputs,
+    closed form on qubit outputs) or the best half of the MULTISTART
+    seeds, and from each vector of the stack starts (G, d_in); the
+    vectors are the best polish, the two best grid polishes, then the
+    polishes of starts.  The ascent is monotone, so the value is at least
+    that of every start: started from the live support states of an
+    ensemble, by Donald's identity sum_i w_i D(Phi(psi_i)||ref) = chi +
+    D(omega||ref) it is at least the ensemble's chi.  polish=False skips
+    the polish and the starts, for callers that only need a cheap ranking.
     """
     d = channel.d_in
-    if linear is None:
-        mass, esc = escape_witness(channel, ref)
-        if mass > 1e-8:
-            # some feasible pure state leaves the support of ref
-            return math.inf, [esc], True
+    mass, esc = escape_witness(channel, ref)
+    if mass > 1e-8:
+        # some feasible pure state leaves the support of ref
+        return math.inf, [esc], True
 
     log_ref = logm_psd(ref)
 
@@ -672,16 +678,16 @@ def radius_sup(channel: Channel, ref: np.ndarray, rng: np.random.Generator,
     best_val, best_psi = float(vals[order[0]]), psis[order[0]]
     if not polish:
         return best_val, [psis[i] for i in order[:2]], certify
-    args = []
-    n_polish = 8 if d == 2 else MULTISTART // 2
-    for v, p in zip(*pure_ascent(channel, log_ref, psis[order[:n_polish]], linear=linear)):
-        v = float(v)
-        args.append((v, p))
-        if v > best_val:
-            best_val, best_psi = v, p
-    args.sort(key=lambda t: -t[0])
-    states = [best_psi] + [p for _, p in args[:2]]
-    return best_val, states, certify
+    heads = psis[order[:8 if d == 2 else MULTISTART // 2]]
+    n_grid = len(heads)
+    if starts is not None:
+        heads = np.concatenate([heads, starts])
+    pvals, ppsis = pure_ascent(channel, log_ref, heads, linear=linear)
+    top = int(np.argmax(pvals))
+    if pvals[top] > best_val:
+        best_val, best_psi = float(pvals[top]), ppsis[top]
+    ranked = np.argsort(-pvals[:n_grid], kind="stable")[:2]
+    return best_val, [best_psi, *ppsis[ranked], *ppsis[n_grid:]], certify
 
 
 # ---------------------------------------------------------------------------

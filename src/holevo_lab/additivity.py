@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, _optim
+from . import _optim
 from .capacity import (
     CapacityResult,
     ConstraintSet,
@@ -33,7 +33,7 @@ from .capacity import (
 )
 from .channels import Channel, reduced_states, tensor_channel
 from .ensembles import average_state
-from .opalg import DensityOperator, DimensionMismatch, entropy_batch, trace_norm
+from .opalg import DensityOperator, DimensionMismatch, trace_norm
 
 
 @dataclass(frozen=True)
@@ -171,24 +171,13 @@ def superadditivity_gap_Hhat(phi: Channel, psi: Channel, omega: DensityOperator,
 # minimal output entropy
 
 def _moe_search(channel: Channel, opts: SolverOptions,
-                extra_seeds=()) -> tuple[float, np.ndarray]:
+                starts: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """(min output entropy, a minimizing input): D(Y||I) = -H(Y), so it is
+    the divergence sup at the reference I, polished also from starts."""
     rng = np.random.default_rng(opts.seed)
-    d = channel.d_in
-    zero_ref = np.zeros((channel.d_out, channel.d_out))
-    if d == 2:
-        blochs = _kernels.fibonacci_sphere(opts.grid)
-        outs = _optim.batch_outputs_pure(channel, _optim.qubit_pure_states(blochs))
-        hs = entropy_batch(outs)
-        tops = np.argsort(hs)[:8]
-        seeds = list(_optim.qubit_pure_states(blochs[tops]))
-    else:
-        seeds = list(_optim.seed_pure_states(d, _optim.MULTISTART, rng))
-    seeds.extend(np.asarray(s, dtype=complex) for s in extra_seeds)
-    best_val, best_psi = math.inf, None
-    for f, p in zip(*_optim.pure_ascent(channel, zero_ref, np.stack(seeds))):
-        if -f < best_val:
-            best_val, best_psi = float(-f), p
-    return best_val, best_psi
+    val, states, _ = _optim.radius_sup(channel, np.eye(channel.d_out), rng,
+                                       grid=opts.grid, starts=starts)
+    return -val, states[0]
 
 
 def min_output_entropy(channel: Channel, opts: SolverOptions | None = None,
@@ -208,7 +197,7 @@ def moe_additivity_gap(phi: Channel, psi: Channel,
     va = _moe_search(phi, opts)
     vb = _moe_search(psi, opts)
     joint = tensor_channel(phi, psi)
-    vj = _moe_search(joint, opts, extra_seeds=[np.kron(va[1], vb[1])])
+    vj = _moe_search(joint, opts, starts=np.kron(va[1], vb[1])[None, :])
     return vj[0] - va[0] - vb[0]
 
 

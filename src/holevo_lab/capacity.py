@@ -181,26 +181,27 @@ def _ground_subchannel(channel: Channel, hmat: np.ndarray):
 
 def _radius_expectation(channel: Channel, bound: ExpectationBound,
                         ref: np.ndarray, rng: np.random.Generator,
-                        opts: SolverOptions, lmb: float | None = None):
-    """lam h + sup over pure inputs of H(Phi(psi)||ref) - lam <psi|H|psi>
-    at lam = lmb, or, when lmb is None, its min over lam >= 0."""
+                        opts: SolverOptions, lmb: float | None = None,
+                        starts: np.ndarray | None = None):
+    """lam h + sup over pure inputs of D(Phi(psi)||ref) - lam <psi|H|psi>
+    at lam = lmb, or, when lmb is None, its min over lam >= 0; starts as
+    in _optim.radius_sup."""
     hmat = bound.H.mat
     lam = np.linalg.eigvalsh(hmat)
     span = float(lam.max() - lam.min())
     if span < 1e-12:
-        return _optim.radius_sup(channel, ref, rng, grid=opts.grid)
+        return _optim.radius_sup(channel, ref, rng, grid=opts.grid, starts=starts)
     slack = bound.h - float(lam.min())
     if slack <= 1e-10:
         sub, eg = _ground_subchannel(channel, hmat)
-        val, states, cert = _optim.radius_sup(sub, ref, rng, grid=opts.grid)
+        val, states, cert = _optim.radius_sup(
+            sub, ref, rng, grid=opts.grid, starts=None if starts is None else starts @ eg.conj())
         return val, [eg @ s for s in states], cert
-    mass, esc = _optim.escape_witness(channel, ref)
-    if mass > 1e-8:
-        return math.inf, [esc], True
 
     def g(lmb: float, polish: bool = True):
         val, states, cert = _optim.radius_sup(channel, ref, rng, grid=opts.grid,
-                                              linear=lmb * hmat, polish=polish)
+                                              linear=lmb * hmat, polish=polish,
+                                              starts=starts)
         return lmb * bound.h + val, states, cert
 
     if lmb is not None:
@@ -319,18 +320,20 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
         return _optim.maximize_chi_weights(outs, w0, opts.max_iter)
 
     def radius_fn(ref, o):
-        # (bound, argmax states, certified, multiplier, linear term)
+        # (bound, argmax states, certified, multiplier); the sup also
+        # polishes the live support states, which keeps it >= chi
+        starts = np.stack(support)[w > 0.0]
         if energy:  # the Lagrangian bound at the weights' own multiplier
             lmb = solve.multiplier
-            linear = lmb * constraint.H.mat if math.isfinite(lmb) else None
-            return (*_radius_expectation(channel, constraint, ref, rng, o, lmb), lmb, linear)
+            return (*_radius_expectation(channel, constraint, ref, rng, o, lmb, starts), lmb)
         if rows is not None:
             divs = _optim.relent_to_ref_batch(outs, ref)
             y = _optim.row_lp(divs, row_values(), rows[1], rows[2])[2]
             linear = np.einsum("k,kij->ij", y, rows[0])
-            val, states, cert = _optim.radius_sup(channel, ref, rng, grid=o.grid, linear=linear)
-            return float(y @ rows[1]) + val, states, cert, y, linear
-        return (*_optim.radius_sup(channel, ref, rng, grid=o.grid), None, None)
+            val, states, cert = _optim.radius_sup(channel, ref, rng, grid=o.grid,
+                                                  linear=linear, starts=starts)
+            return float(y @ rows[1]) + val, states, cert, y
+        return (*_optim.radius_sup(channel, ref, rng, grid=o.grid, starts=starts), None)
 
     coarse_opts = opts if opts.grid <= 1024 else replace(opts, grid=1024)
 
@@ -356,10 +359,10 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
         omega_cert = (1.0 - delta) * omega + delta * mix_out
 
         # explore with a coarse grid; certify at full quality before stopping
-        upper, new_states, certified, multiplier, linear = radius_fn(omega_cert, coarse_opts)
+        upper, new_states, certified, multiplier = radius_fn(omega_cert, coarse_opts)
         if not math.isinf(upper) and upper - chi_val <= opts.tol:
             if coarse_opts is not opts:
-                upper, new_states, certified, multiplier, linear = radius_fn(omega_cert, opts)
+                upper, new_states, certified, multiplier = radius_fn(omega_cert, opts)
             if upper - chi_val <= opts.tol:
                 break
         gap_now = upper - chi_val if not math.isinf(upper) else math.inf
@@ -372,17 +375,7 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
         if not grid_seeded:
             grid_seeded = True
             _dedupe_append(support, _grid_seed_states())
-        # move live support states to their local divergence maxima at
-        # the current output (in addition to the global argmax states),
-        # less the bound's linear term under rows or an energy row
-        polish = []
-        if not math.isinf(upper):
-            log_oc = logm_psd(omega_cert, rank_tol=1e-300)
-            top = [i for i in np.argsort(w)[::-1][:8] if w[i] > 1e-10]
-            polish = list(_optim.pure_ascent(channel, log_oc, np.stack([support[i] for i in top]),
-                                             linear, iters=60)[1])
         added = _dedupe_append(support, [s for s in new_states if s is not None])
-        added += _dedupe_append(support, polish)
         if added == 0:
             break
         if len(support) > cap and rows is None:

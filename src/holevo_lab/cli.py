@@ -201,28 +201,22 @@ def cmd_capacity(args) -> int:
     return 0 if _converged(result, args.tol) else 2
 
 
-def cmd_chi(args) -> int:
+#: the commands that evaluate one function of a channel at a state
+STATE_FUNCTIONS = {"chi": chi_function, "hhat": convex_closure_output_entropy}
+
+
+def cmd_at_state(args) -> int:
+    """chi or hhat (the command's name) at --state, printed under that
+    name; it is read before the config file, whose keys set options only."""
+    name = args.command
     _apply_config_file(args)
     if not args.channel or not args.state:
-        raise ConfigError("chi needs --channel and --state (or config keys)")
+        raise ConfigError(f"{name} needs --channel and --state (or config keys)")
     channel = _channel_from_arg(args.channel)
     rho = _state_from_arg(args.state)
     opts = _opts_from_args(args)
-    value = chi_function(channel, rho, opts)
-    _write_json({"chi": _display(value, args.base), "base": args.base,
-                 "seed": args.seed}, args.out)
-    return 0
-
-
-def cmd_hhat(args) -> int:
-    _apply_config_file(args)
-    if not args.channel or not args.state:
-        raise ConfigError("hhat needs --channel and --state (or config keys)")
-    channel = _channel_from_arg(args.channel)
-    rho = _state_from_arg(args.state)
-    opts = _opts_from_args(args)
-    value = convex_closure_output_entropy(channel, rho, opts)
-    _write_json({"hhat": _display(value, args.base), "base": args.base,
+    value = STATE_FUNCTIONS[name](channel, rho, opts)
+    _write_json({name: _display(value, args.base), "base": args.base,
                  "seed": args.seed}, args.out)
     return 0
 
@@ -347,17 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_capacity)
 
-    p = sub.add_parser("chi", help="chi-function at a fixed input state")
-    p.add_argument("--channel", default=None)
-    p.add_argument("--state", default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_chi)
-
-    p = sub.add_parser("hhat", help="convex closure of the output entropy")
-    p.add_argument("--channel", default=None)
-    p.add_argument("--state", default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_hhat)
+    for name, text in (("chi", "chi-function at a fixed input state"),
+                       ("hhat", "convex closure of the output entropy")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--channel", default=None)
+        p.add_argument("--state", default=None)
+        _add_common(p)
+        p.set_defaults(fn=cmd_at_state)
 
     p = sub.add_parser("additivity", help="joint vs single-channel capacities")
     p.add_argument("--left", default=None)

@@ -12,7 +12,8 @@ import holevo_lab as hl
 from holevo_lab import _kernels, _optim
 from holevo_lab.capacity import SolverOptions
 from holevo_lab.channels import ClassicalChannelSpec, Channel, bloch_map, bloch_of_states
-from holevo_lab.opalg import logm_psd, random_density, relative_entropy_raw, trace_norm
+from holevo_lab.opalg import (
+    entropy_raw, logm_psd, random_density, relative_entropy_raw, trace_norm)
 
 LOG2 = math.log(2.0)
 
@@ -86,6 +87,27 @@ def test_radius_singleton_formula():
     val = hl.divergence_radius_at(hl.noiseless(2), constraint,
                                   hl.DensityOperator.basis_state(2, 0))
     assert val.is_infinite
+
+
+def test_radius_sup_is_at_least_every_start(rng):
+    ch = hl.random_channel(rng, 3, 3, 2)
+    starts = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    starts /= np.linalg.norm(starts, axis=1)[:, None]
+    w = rng.dirichlet(np.ones(4))
+    ref = random_density(rng, 3).mat
+    outs = [ch.apply_raw(np.outer(s, s.conj())) for s in starts]
+    divs = np.array([relative_entropy_raw(y, ref) for y in outs])
+    # Donald's identity: the ensemble's average divergence is chi + D(omega||ref)
+    omega = sum(wi * y for wi, y in zip(w, outs))
+    chi = entropy_raw(omega) - sum(wi * entropy_raw(y) for wi, y in zip(w, outs))
+    assert w @ divs == pytest.approx(chi + relative_entropy_raw(omega, ref), abs=1e-12)
+    val, states, _ = _optim.radius_sup(ch, ref, np.random.default_rng(0), starts=starts)
+    assert val >= w @ divs
+    # the best vector and two seed polishes, then one polish per start,
+    # each no lower than its start
+    assert len(states) == 3 + len(starts)
+    for psi, div in zip(states[3:], divs):
+        assert relative_entropy_raw(ch.apply_raw(np.outer(psi, psi.conj())), ref) >= div - 1e-12
 
 
 # --- pure-state ascent -------------------------------------------------------
@@ -249,6 +271,24 @@ def test_singleton_capacity_keeps_raw_upper_bound(rng):
     ch = hl.random_channel(rng, 2, 2, 2)
     r = hl.chi_capacity(ch, hl.Singleton(random_density(rng, 2)))
     assert r.upper_bound == max(r.info["raw_upper"], r.lower_bound)
+
+
+def test_qudit_capacity_raw_upper_not_below_chi():
+    # the qudit benchmark's seed-1 input 4 (d = 4, Kraus rank 2), drawn in
+    # the workload's order: a divergence sup that is not started from the
+    # live support states stops here at gap 0 with its raw bound 8.4e-4
+    # below chi
+    rng = np.random.default_rng(1)
+    for i in range(5):
+        if i % 3 < 2:
+            ch = hl.random_channel(rng, 3 + i % 3, 3 + i % 3, int(rng.integers(2, 4)))
+        else:
+            for _ in range(2):
+                hl.random_channel(rng, 2, 2, int(rng.integers(2, 5)))
+    assert ch.d_in == 4 and len(ch.kraus) == 2
+    res = hl.chi_capacity(ch, tol=1e-6)
+    assert res.info["raw_upper"] >= res.lower_bound - 1e-12
+    assert res.gap <= 1e-6
 
 
 def test_capacity_rejects_bad_tol():
