@@ -8,6 +8,7 @@ numpy Generator.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -893,28 +894,71 @@ def qubit_grid_outputs(channel: Channel, blochs: np.ndarray):
     return None, batch_outputs_pure(channel, qubit_pure_states(blochs))
 
 
+@functools.lru_cache(maxsize=4)
+def _fibonacci_grid(grid: int) -> np.ndarray:
+    """The Bloch grid of hhat_qubit, built once per size (read-only)."""
+    pts = _kernels.fibonacci_sphere(grid)
+    pts.flags.writeable = False
+    return pts
+
+
+def _grid_lp(vals: np.ndarray, pts: np.ndarray, b: np.ndarray):
+    """min vals.mu over mu >= 0 with sum_i mu_i p_i = b and sum_i mu_i = 1,
+    for points pts (n, 3) whose last two rows are +-bhat (b = |b| bhat).
+    Returns (value, mu (n,)).  An exact dense primal simplex on the rows
+    [p_i; 1] from the basis of +-bhat and the two points farthest from the
+    bhat axis and from the plane through it and the first.  Dantzig's rule,
+    but Bland's after a degenerate pivot (step 0): a run of degenerate
+    pivots is Bland's after its first, so it cannot cycle.  The weights sum
+    to 1, so the entering column has an entry > 1/4 for the ratio test."""
+    n = len(pts)
+    cols = np.hstack([pts, np.ones((n, 1))])
+    rhs = np.append(b, 1.0)
+    axis = pts[-2]
+    far = int(np.argmax(1.0 - (pts[:-2] @ axis) ** 2))
+    off = int(np.argmax(np.abs(pts[:-2] @ np.cross(axis, pts[far]))))
+    basis = np.array([n - 2, n - 1, far, off])
+    bland = False
+    for _ in range(500):
+        binv = np.linalg.inv(cols[basis].T)
+        x = binv @ rhs
+        x[x < 1e-14] = 0.0  # exact zeros, so that degenerate ratios tie
+        reduced = vals - cols @ (vals[basis] @ binv)
+        reduced[basis] = 0.0
+        enter = np.flatnonzero(reduced < -1e-13)
+        if enter.size == 0:
+            mu = np.zeros(n)
+            mu[basis] = x
+            return float(vals @ mu), mu
+        j = enter[0] if bland else enter[np.argmin(reduced[enter])]
+        d = binv @ cols[j]
+        rows = np.flatnonzero(d > 1e-12)
+        ratios = x[rows] / d[rows]
+        step = ratios.min()
+        ties = rows[ratios == step]
+        basis[ties[np.argmin(basis[ties])]] = j
+        bland = step == 0.0
+    raise RuntimeError("decomposition LP: no optimal basis after 500 pivots")
+
+
 def hhat_qubit(channel: Channel, rho: np.ndarray, grid: int = 512):
-    """Convex closure at a mixed qubit input: LP over a Bloch-sphere grid.
-    Exact up to the grid modulus; refined by the isometry search.
+    """Convex closure at a mixed qubit input: LP over a Bloch-sphere grid
+    plus +-bhat, solved exactly by _grid_lp.  The grid decompositions are
+    a subset of all decompositions, so the value is an upper estimate of
+    the convex closure; hhat_search refines it by the isometry descent.
     Returns (value, weights, unit member vectors (k, 2))."""
     b = bloch_of_state(rho)
     rb = np.linalg.norm(b)
     bhat = b / rb if rb > 1e-14 else np.array([0.0, 0.0, 1.0])
-    pts = np.vstack([_kernels.fibonacci_sphere(grid), bhat[None, :], -bhat[None, :]])
+    pts = np.vstack([_fibonacci_grid(grid), bhat[None, :], -bhat[None, :]])
     out_blochs, outs = qubit_grid_outputs(channel, pts)
     vals = entropy_batch(outs) if out_blochs is None else \
         _kernels.entropy_from_radius(np.linalg.norm(out_blochs, axis=1))
 
-    res = sciopt.linprog(vals,
-                         A_eq=np.vstack([pts.T, np.ones(len(pts))]),
-                         b_eq=np.append(b, 1.0),
-                         bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"decomposition LP failed: {res.message}")
-    w = res.x
+    val, w = _grid_lp(vals, pts, b)
     active = np.argsort(w)[::-1][:4]
     active = active[w[active] > 1e-12]
-    return float(res.fun), w[active] / np.sum(w[active]), qubit_pure_states(pts[active])
+    return val, w[active] / np.sum(w[active]), qubit_pure_states(pts[active])
 
 
 def hhat_search(channel: Channel, rho: np.ndarray, rng: np.random.Generator,

@@ -103,7 +103,9 @@ class SolverOptions:
     max_iter: step cap of each ensemble-weight solve.
     seed: seed of the generator behind every randomized inner search.
     grid: Bloch-grid size of the qubit divergence sup.
-    hhat_grid: Bloch-grid size of the qubit convex-closure LP.
+    hhat_grid: Bloch-grid size of the qubit convex-closure LP; its value,
+        a minimum over grid decompositions only, is an upper estimate of
+        the convex closure that the isometry descent refines.
     hhat_starts: starts of the convex-closure isometry descent: the
         spectral start and hhat_starts - 1 random ones; qubit inputs run
         the grid-LP warm start, the spectral start and

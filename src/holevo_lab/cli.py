@@ -100,7 +100,7 @@ def _channel_from_arg(arg: str):
         if isinstance(data, dict) and "kraus" in data and "kind" not in data:
             return channel_from_dict(data)
         return channel_from_config(data)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad channel spec: {exc}") from exc
 
 
@@ -117,7 +117,7 @@ def _constraint_from_arg(arg: str | None):
         if kind == "expectation":
             return ExpectationBound(HermitianOperator(_complex_from_json(data["H"])),
                                     float(data["h"]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad constraint spec: {exc}") from exc
     raise ConfigError(f"unknown constraint kind {kind!r}")
 
@@ -128,7 +128,7 @@ def _state_from_arg(arg: str) -> DensityOperator:
         data = data.get("state", data)
     try:
         return DensityOperator(_complex_from_json(data))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad state spec: {exc}") from exc
 
 

@@ -11,7 +11,8 @@ from scipy import optimize as sciopt
 import holevo_lab as hl
 from holevo_lab import _kernels, _optim
 from holevo_lab.capacity import SolverOptions
-from holevo_lab.channels import ClassicalChannelSpec, Channel, bloch_map, bloch_of_states
+from holevo_lab.channels import (
+    ClassicalChannelSpec, Channel, bloch_map, bloch_of_state, bloch_of_states, state_of_bloch)
 from holevo_lab.opalg import (
     entropy_raw, logm_psd, random_density, relative_entropy_raw, trace_norm)
 
@@ -452,6 +453,50 @@ def test_hhat_descent_on_qubit_channels_builds_no_output_matrices(rng, monkeypat
         _optim.hhat_isometry_search(hl.random_channel(rng, 2, 3, 2), rho, rng, starts=2)
 
 
+def _grid_lp_data(channel, rho, grid=384):
+    """hhat_qubit's grid LP: values, points (grid + 2, 3) and the Bloch vector."""
+    b = bloch_of_state(rho)
+    rb = np.linalg.norm(b)
+    bhat = b / rb if rb > 1e-14 else np.array([0.0, 0.0, 1.0])
+    pts = np.vstack([_kernels.fibonacci_sphere(grid), bhat, -bhat])
+    out_blochs, outs = _optim.qubit_grid_outputs(channel, pts)
+    vals = _kernels.entropy_from_radius(np.linalg.norm(out_blochs, axis=1))
+    return vals, pts, b
+
+
+def _assert_grid_lp_matches_highs(vals, pts, b):
+    value, mu = _optim._grid_lp(vals, pts, b)
+    a = np.vstack([pts.T, np.ones(len(pts))])
+    rhs = np.append(b, 1.0)
+    res = sciopt.linprog(vals, A_eq=a, b_eq=rhs, bounds=(0, None), method="highs")
+    assert res.success
+    assert abs(value - res.fun) <= 1e-12
+    assert np.max(np.abs(a @ mu - rhs)) <= 1e-12
+    assert np.all(mu >= 0.0) and np.count_nonzero(mu) <= 4
+
+
+def test_grid_lp_matches_highs():
+    rng = np.random.default_rng(3)
+    for i in range(60):
+        vals, pts, b = _grid_lp_data(hl.random_channel(rng, 2, 2, 1 + i % 3),
+                                     random_density(rng, 2).mat)
+        _assert_grid_lp_matches_highs(vals, pts, b)
+
+
+def test_grid_lp_degenerate_cases():
+    rng = np.random.default_rng(4)
+    n = rng.standard_normal(3)
+    rho = random_density(rng, 2).mat
+    cases = (
+        (hl.random_channel(rng, 2, 2, 1), rho),  # pure outputs: all values 0
+        (hl.random_channel(rng, 2, 2, 2), np.eye(2) / 2),  # b = 0, so bhat = z
+        (hl.random_channel(rng, 2, 2, 2), state_of_bloch((1.0 - 1e-10) * n / np.linalg.norm(n))),
+        (hl.completely_depolarizing(2), rho),  # constant values
+    )
+    for channel, state in cases:
+        _assert_grid_lp_matches_highs(*_grid_lp_data(channel, state))
+
+
 def _qr_reference(v):
     q, r = np.linalg.qr(v)
     return q * np.sign(np.real(np.diagonal(r)))[None, :]
@@ -497,20 +542,33 @@ CHI_CHAIN_20261018 = (
 SUITE_CHAIN_50_MAX_RESIDUAL = 4.8433479449272454e-15
 
 
+def _chain_case(rng):
+    from holevo_lab import verify
+    phi = hl.random_channel(rng, 2, 2, int(rng.integers(1, 4)))
+    psi = hl.random_channel(rng, 2, 2, int(rng.integers(1, 4)))
+    rho = random_density(rng, 2)
+    mid = hl.DensityOperator(phi.apply_raw(rho.mat))
+    return (hl.chi_function(hl.compose(psi, phi), rho, verify.CHI_OPTS),
+            hl.chi_function(phi, rho, verify.CHI_OPTS),
+            hl.chi_function(psi, mid, verify.CHI_OPTS))
+
+
 def test_chi_function_chain_regression():
     from holevo_lab import verify
     rng = np.random.default_rng(20261018)
     for want in CHI_CHAIN_20261018:
-        phi = hl.random_channel(rng, 2, 2, int(rng.integers(1, 4)))
-        psi = hl.random_channel(rng, 2, 2, int(rng.integers(1, 4)))
-        rho = random_density(rng, 2)
-        mid = hl.DensityOperator(phi.apply_raw(rho.mat))
-        got = (hl.chi_function(hl.compose(psi, phi), rho, verify.CHI_OPTS),
-               hl.chi_function(phi, rho, verify.CHI_OPTS),
-               hl.chi_function(psi, mid, verify.CHI_OPTS))
-        assert got == pytest.approx(want, abs=1e-12)
+        assert _chain_case(rng) == pytest.approx(want, abs=1e-12)
     res = verify.suite_chain(cases=50)
     assert res.max_residual == pytest.approx(SUITE_CHAIN_50_MAX_RESIDUAL, abs=1e-12)
+
+
+def test_hhat_qubit_solves_its_grid_lp_without_linprog(monkeypatch):
+    def forbidden(*args, **kw):
+        raise AssertionError("linprog called")
+    monkeypatch.setattr(_optim.sciopt, "linprog", forbidden)
+    rng = np.random.default_rng(20261018)
+    for want in CHI_CHAIN_20261018:
+        assert _chain_case(rng) == pytest.approx(want, abs=1e-12)
 
 
 def test_hhat_descent_work(monkeypatch):

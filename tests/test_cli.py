@@ -86,6 +86,18 @@ def test_exit_code_config_error(capsys):
                  "--tol", "-1"]) == 1
 
 
+def test_exit_code_config_error_plain_real_matrices(capsys):
+    # real matrices where [re, im] pairs are expected raise TypeError inside
+    real = [[0.5, 0], [0, 0.5]]
+    assert main(["chi", "--channel", '{"kind":"noiseless","d":2}',
+                 "--state", json.dumps(real)]) == 1
+    assert main(["capacity", "--channel", '{"kind":"noiseless","d":2}', "--constraint",
+                 json.dumps({"kind": "singleton", "state": real})]) == 1
+    assert main(["capacity", "--channel", json.dumps({"kraus": [real]})]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error: bad ") == 3 and "Traceback" not in err
+
+
 def test_byte_stability(tmp_path, capsys):
     args = ["capacity", "--channel", '{"kind":"depolarizing","d":2,"p":0.3}',
             "--seed", "42"]
