@@ -905,12 +905,14 @@ def _fibonacci_grid(grid: int) -> np.ndarray:
 def _grid_lp(vals: np.ndarray, pts: np.ndarray, b: np.ndarray):
     """min vals.mu over mu >= 0 with sum_i mu_i p_i = b and sum_i mu_i = 1,
     for points pts (n, 3) whose last two rows are +-bhat (b = |b| bhat).
-    Returns (value, mu (n,)).  An exact dense primal simplex on the rows
-    [p_i; 1] from the basis of +-bhat and the two points farthest from the
-    bhat axis and from the plane through it and the first.  Dantzig's rule,
-    but Bland's after a degenerate pivot (step 0): a run of degenerate
-    pivots is Bland's after its first, so it cannot cycle.  The weights sum
-    to 1, so the entering column has an entry > 1/4 for the ratio test."""
+    Returns (value, mu (n,), y (4,)), y the optimal duals of the rows
+    [p_i; 1]: value = y.[b; 1] and every reduced cost vals_i - y.[p_i; 1]
+    is at least -1e-13.  An exact dense primal simplex from the basis of
+    +-bhat and the two points farthest from the bhat axis and from the
+    plane through it and the first.  Dantzig's rule, but Bland's after a
+    degenerate pivot (step 0): a run of degenerate pivots is Bland's after
+    its first, so it cannot cycle.  The weights sum to 1, so the entering
+    column has an entry > 1/4 for the ratio test."""
     n = len(pts)
     cols = np.hstack([pts, np.ones((n, 1))])
     rhs = np.append(b, 1.0)
@@ -923,13 +925,14 @@ def _grid_lp(vals: np.ndarray, pts: np.ndarray, b: np.ndarray):
         binv = np.linalg.inv(cols[basis].T)
         x = binv @ rhs
         x[x < 1e-14] = 0.0  # exact zeros, so that degenerate ratios tie
-        reduced = vals - cols @ (vals[basis] @ binv)
+        y = vals[basis] @ binv
+        reduced = vals - cols @ y
         reduced[basis] = 0.0
         enter = np.flatnonzero(reduced < -1e-13)
         if enter.size == 0:
             mu = np.zeros(n)
             mu[basis] = x
-            return float(vals @ mu), mu
+            return float(vals @ mu), mu, y
         j = enter[0] if bland else enter[np.argmin(reduced[enter])]
         d = binv @ cols[j]
         rows = np.flatnonzero(d > 1e-12)
@@ -941,41 +944,254 @@ def _grid_lp(vals: np.ndarray, pts: np.ndarray, b: np.ndarray):
     raise RuntimeError("decomposition LP: no optimal basis after 500 pivots")
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_neighbours(resolution: int) -> np.ndarray:
+    """Indices (resolution, 8) of the 8 nearest points to each point of
+    the Fibonacci grid of that resolution."""
+    from scipy.spatial import cKDTree  # loaded with scipy.optimize already
+    blochs = _kernels.fibonacci_sphere(resolution)
+    return cKDTree(blochs).query(blochs, k=9)[1][:, 1:]
+
+
+#: LP support points closer than 15 degrees start Newton as one point
+_MERGE_COS = math.cos(math.radians(15.0))
+
+#: most grid minima of the reduced cost polished by the certificate
+_MAX_MINIMA = 16
+
+
+def _merge_support(pts: np.ndarray, mu: np.ndarray):
+    """The LP's support (mu > 0) as k <= 4 points: each point joins the
+    group of the first heavier point within 15 degrees, and a group
+    becomes the unit vector along its weighted mean direction carrying
+    its total weight.  Returns (points (k, 3), weights (k,))."""
+    live = np.flatnonzero(mu > 0.0)
+    groups = []
+    for i in live[np.argsort(-mu[live], kind="stable")]:
+        for group in groups:
+            if pts[group[0]] @ pts[i] >= _MERGE_COS:
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    dirs = np.array([mu[g] @ pts[g] for g in groups])
+    return dirs / np.linalg.norm(dirs, axis=1)[:, None], np.array([mu[g].sum() for g in groups])
+
+
+def _tangent_frames(p: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (k, 3, 2) of the tangent planes of the unit
+    sphere at the rows of p (k, 3), in the branch-free closed form of
+    Duff et al. 2017 ("Building an orthonormal basis, revisited")."""
+    x, y, z = p.T
+    sign = np.where(z >= 0.0, 1.0, -1.0)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    return np.stack((np.column_stack((1.0 + sign * x * x * a, sign * b, -sign * x)),
+                     np.column_stack((b, sign + y * y * a, -y))), axis=2)
+
+
+def _sphere_derivatives(tm, tv, p, y):
+    """Derivatives on the unit sphere of f(p) = g(p) - y.p, where g(p) =
+    h(|T p + t|) is the entropy of the output of the pure input with
+    Bloch vector p, at the rows of p (k, 3).  With q = T p + t and r =
+    |q|, grad g = h'(r) T^T qhat and hess g = T^T [h''(r) qhat qhat^T +
+    (h'(r)/r) (I - qhat qhat^T)] T, where h'(r) = -atanh(r) and h''(r) =
+    -1/(1 - r^2); the Riemannian Hessian of f is the tangent block of
+    hess g less (p . grad f) I.  Returns the values of g, tangent frames,
+    the Riemannian gradients (k, 2) and Hessians (k, 2, 2) of f, and r:
+    the derivatives are finite for r < 1 only (the entropy cusp at a pure
+    output)."""
+    q = p @ tm.T + tv
+    r = np.linalg.norm(q, axis=1)
+    # slope = -h'(r)/r and curve = (h''(r) + slope)/r^2, by their series
+    # below r = 1e-4
+    rr = np.clip(r, 1e-4, 1.0 - 1e-15)
+    slope = np.arctanh(rr) / rr
+    curve = (slope - 1.0 / (1.0 - rr * rr)) / (rr * rr)
+    small = r < 1e-4
+    if small.any():
+        slope[small] = 1.0 + r[small] ** 2 / 3.0
+        curve[small] = -2.0 / 3.0
+    tq = q @ tm  # T^T q
+    hess = curve[:, None, None] * tq[:, :, None] * tq[:, None, :] \
+        - slope[:, None, None] * (tm.T @ tm)
+    fgrad = -slope[:, None] * tq - y
+    frames = _tangent_frames(p)
+    frames_t = frames.transpose(0, 2, 1)
+    rgrad = (frames_t @ fgrad[:, :, None])[:, :, 0]
+    rhess = frames_t @ hess @ frames \
+        - np.sum(p * fgrad, axis=1)[:, None, None] * np.eye(2)
+    return _kernels.entropy_from_radius(r), frames, rgrad, rhess, r
+
+
+def _retract(p, frames, delta):
+    """Unit vectors along p + frames delta."""
+    v = p + (frames @ delta[:, :, None])[:, :, 0]
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def _hull_newton(tm, tv, b, pts, mu, dual, max_steps: int = 30):
+    """Riemannian Newton on the optimality conditions of min sum_i mu_i
+    g(p_i) over decompositions sum_i mu_i [p_i; 1] = [b; 1] with |p_i| = 1
+    (g as in _sphere_derivatives), from points pts (k, 3), weights mu and the
+    duals dual = (y, y0) of the rows.  The 3k + 4 unknowns are two
+    tangent coordinates per point, the mu_i, y and y0; the equations are,
+    per point, the tangential part of grad g(p_i) - y and g(p_i) - y0 -
+    y.p_i, then sum_i mu_i [p_i; 1] - [b; 1] (Nocedal & Wright 2006,
+    ch. 18).  Each step re-bases the tangent frames and normalizes the
+    points.  A step that would make a weight negative is cut to 0.9 of the
+    way to the first weight it zeroes; when less than 1e-5 of it would be
+    left, that point is dropped instead and the step recomputed.  Returns
+    (value, mu, points, dual) once every equation holds to 1e-13, or None
+    on a singular Jacobian, an output within 1e-12 of pure, fewer than two
+    points or max_steps steps."""
+    y = np.array(dual, dtype=float)
+    for _ in range(max_steps):
+        k = len(mu)
+        if k < 2:
+            return None
+        g, frames, rgrad, rhess, r = _sphere_derivatives(tm, tv, pts, y[:3])
+        if r.max() >= 1.0 - 1e-12:
+            return None
+        res = np.concatenate((rgrad.ravel(), g - pts @ y[:3] - y[3], mu @ pts - b,
+                              [mu.sum() - 1.0]))
+        if np.max(np.abs(res)) <= 1e-13:
+            return float(mu @ g), mu, pts, y
+        # unknowns: deltas (2k), mu (k), y (3), y0
+        jac = np.zeros((3 * k + 4, 3 * k + 4))
+        for i in range(k):
+            tangent = slice(2 * i, 2 * i + 2)
+            jac[tangent, tangent] = rhess[i]
+            jac[tangent, 3 * k:3 * k + 3] = -frames[i].T
+            jac[2 * k + i, tangent] = rgrad[i]
+            jac[3 * k:3 * k + 3, tangent] = mu[i] * frames[i]
+        jac[2 * k:3 * k, 3 * k:3 * k + 3] = -pts
+        jac[2 * k:3 * k, -1] = -1.0
+        jac[3 * k:3 * k + 3, 2 * k:3 * k] = pts.T
+        jac[-1, 2 * k:3 * k] = 1.0
+        try:
+            step = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError:
+            return None
+        dmu = step[2 * k:3 * k]
+        neg = np.flatnonzero(dmu < 0.0)
+        ratios = mu[neg] / -dmu[neg]
+        if ratios.size and ratios.min() < 1.0:
+            block = int(np.argmin(ratios))
+            if ratios[block] < 1e-5:
+                keep = np.arange(k) != neg[block]
+                pts, mu = pts[keep], mu[keep]
+                continue
+            step *= 0.9 * ratios[block]
+        pts = _retract(pts, frames, step[:2 * k].reshape(k, 2))
+        mu, y = mu + step[2 * k:3 * k], y + step[3 * k:]
+    return None
+
+
+def _sphere_min(tm, tv, grid_pts, reduced, y, starts, steps: int = 8) -> float:
+    """Estimate of min over the sphere of g(p) - y.[p; 1] (g as in
+    _sphere_derivatives, y (4,)), from its values `reduced` on the Fibonacci
+    grid grid_pts: the least of them, and the least value reached by a
+    batched Riemannian Newton polish from the points starts (k, 3) and
+    from the lowest _MAX_MINIMA grid points no higher than their 8 nearest
+    neighbours.  Where the Hessian is not positive definite it is shifted
+    by twice its least eigenvalue, and a step is at most 0.3 rad long.
+    Each value is attained, so this is an upper estimate of the minimum:
+    a dip of the function outside every polished basin is missed.
+    Polishing stops at an output within 1e-12 of pure."""
+    best = float(reduced.min())
+    near = reduced[_grid_neighbours(len(grid_pts))]
+    minima = np.flatnonzero(reduced <= near.min(axis=1))
+    p = np.vstack((starts, grid_pts[minima[np.argsort(reduced[minima])[:_MAX_MINIMA]]]))
+    for _ in range(steps):
+        g, frames, rgrad, rhess, r = _sphere_derivatives(tm, tv, p, y[:3])
+        best = min(best, float(np.min(g - p @ y[:3])) - y[3])
+        go = (r < 1.0 - 1e-12) & (np.max(np.abs(rgrad), axis=1) > 1e-15)
+        if not go.any():
+            break
+        a, c, e = rhess[go, 0, 0], rhess[go, 0, 1], rhess[go, 1, 1]
+        least = 0.5 * (a + e) - np.hypot(0.5 * (a - e), c)
+        shift = np.where(least > 0.0, 0.0, -2.0 * least + 1e-12)
+        a, e = a + shift, e + shift
+        rg = rgrad[go]
+        delta = -np.column_stack((e * rg[:, 0] - c * rg[:, 1],
+                                  a * rg[:, 1] - c * rg[:, 0])) / (a * e - c * c)[:, None]
+        size = np.linalg.norm(delta, axis=1)
+        # a step under 1e-8 changes the value by about 1e-16
+        move = size > 1e-8
+        if not move.any():
+            break
+        delta = delta[move] * np.minimum(1.0, 0.3 / size[move])[:, None]
+        p = _retract(p[go][move], frames[go][move], delta)
+    return best
+
+
 def hhat_qubit(channel: Channel, rho: np.ndarray, grid: int = 512):
-    """Convex closure at a mixed qubit input: LP over a Bloch-sphere grid
-    plus +-bhat, solved exactly by _grid_lp.  The grid decompositions are
-    a subset of all decompositions, so the value is an upper estimate of
-    the convex closure; hhat_search refines it by the isometry descent.
-    Returns (value, weights, unit member vectors (k, 2))."""
+    """Convex closure at a mixed qubit input.
+
+    An LP over a Bloch-sphere grid plus +-bhat, solved exactly by
+    _grid_lp, gives an upper estimate of the convex closure (the grid
+    decompositions are a subset of all decompositions) and its duals.
+    For qubit outputs, Newton on the optimality conditions (_hull_newton)
+    then runs from the LP's support, merged by _merge_support, and its
+    duals y give the weak-duality bound: every decomposition has sum_i
+    mu_i g(p_i) >= y.[b; 1] + m, m the minimum of g(p) - y.[p; 1] over the
+    sphere (estimated by _sphere_min).  The Newton decomposition is taken
+    when that bound lies within 1e-9 of its value and the value is at
+    most the LP's.  An LP value <= 1e-12 is taken as it is, with bound 0
+    (the output entropy is nonnegative).
+
+    Returns (value, weights, unit member vectors (k, 2), lower): lower is
+    the bound, or None when the value and members are the LP's, not
+    certified."""
     b = bloch_of_state(rho)
     rb = np.linalg.norm(b)
     bhat = b / rb if rb > 1e-14 else np.array([0.0, 0.0, 1.0])
     pts = np.vstack([_fibonacci_grid(grid), bhat[None, :], -bhat[None, :]])
-    out_blochs, outs = qubit_grid_outputs(channel, pts)
-    vals = entropy_batch(outs) if out_blochs is None else \
-        _kernels.entropy_from_radius(np.linalg.norm(out_blochs, axis=1))
+    qubit_out = channel.d_out == 2
+    if qubit_out:
+        tm, tv = bloch_map(channel)
+        vals = _kernels.entropy_from_radius(np.linalg.norm(pts @ tm.T + tv[None, :], axis=1))
+    else:
+        vals = entropy_batch(qubit_grid_outputs(channel, pts)[1])
 
-    val, w = _grid_lp(vals, pts, b)
+    val, w, dual = _grid_lp(vals, pts, b)
     active = np.argsort(w)[::-1][:4]
     active = active[w[active] > 1e-12]
-    return val, w[active] / np.sum(w[active]), qubit_pure_states(pts[active])
+    lp = val, w[active] / np.sum(w[active]), qubit_pure_states(pts[active])
+    if val <= 1e-12:
+        return (*lp, 0.0)
+    if not qubit_out:
+        return (*lp, None)
+    sol = _hull_newton(tm, tv, b, *_merge_support(pts, w), dual)
+    if sol is None or sol[0] > val:
+        return (*lp, None)
+    value, mu, members, dual = sol
+    lower = float(dual @ np.append(b, 1.0)) + _sphere_min(
+        tm, tv, pts[:grid], vals[:grid] - pts[:grid] @ dual[:3] - dual[3], dual, members)
+    if value - lower > 1e-9:
+        return (*lp, None)
+    return value, mu, qubit_pure_states(members), lower
 
 
 def hhat_search(channel: Channel, rho: np.ndarray, rng: np.random.Generator,
                 starts: int = 8, grid: int = 512):
-    """Dispatch: for qubit inputs a grid LP locates the hull structure
-    and warm-starts the isometry descent; isometry search otherwise.  The
-    descent uses the Bloch backend for qubit -> qubit channels and the
-    matrix backend for all others (see hhat_isometry_search)."""
+    """Dispatch: for qubit inputs hhat_qubit's grid LP and, for qubit
+    outputs, its certified Newton solve; when hhat_qubit certifies no
+    value, the LP's decomposition warm-starts the isometry descent
+    (hhat_isometry_search, the Bloch backend for qubit outputs), with
+    min(starts, 2) - 1 random starts.  Inputs of dimension >= 3 run the
+    isometry search from starts starts, on the matrix backend."""
     if channel.d_in == 2:
         if np.linalg.norm(bloch_of_state(rho)) >= 1.0 - 1e-12:
             return entropy_raw(channel.apply_raw(rho)), np.array([1.0]), [rho]
-        val, w, vecs = hhat_qubit(channel, rho, grid=grid)
-        warm = isometry_from_members(rho, (vecs * np.sqrt(w)[:, None]).T, m=4)
-        val2, w2, mats2 = hhat_isometry_search(
-            channel, rho, rng, starts=max(1, min(2, starts)), m=4,
-            iters=160, warm_starts=(warm,))
-        if val2 < val - 1e-12:
-            return val2, w2, mats2
+        val, w, vecs, lower = hhat_qubit(channel, rho, grid=grid)
+        if lower is None:
+            warm = isometry_from_members(rho, (vecs * np.sqrt(w)[:, None]).T, m=4)
+            val2, w2, mats2 = hhat_isometry_search(
+                channel, rho, rng, starts=max(1, min(2, starts)), m=4,
+                iters=160, warm_starts=(warm,))
+            if val2 < val - 1e-12:
+                return val2, w2, mats2
         return val, w, [np.outer(v, v.conj()) for v in vecs]
     return hhat_isometry_search(channel, rho, rng, starts=starts)

@@ -105,11 +105,14 @@ class SolverOptions:
     grid: Bloch-grid size of the qubit divergence sup.
     hhat_grid: Bloch-grid size of the qubit convex-closure LP; its value,
         a minimum over grid decompositions only, is an upper estimate of
-        the convex closure that the isometry descent refines.
+        the convex closure that a Newton solve (qubit outputs) or the
+        isometry descent refines, and the grid of the Newton solve's
+        duality check.
     hhat_starts: starts of the convex-closure isometry descent: the
-        spectral start and hhat_starts - 1 random ones; qubit inputs run
-        the grid-LP warm start, the spectral start and
-        min(hhat_starts, 2) - 1 random starts.
+        spectral start and hhat_starts - 1 random ones.  Qubit inputs run
+        the descent only when the Newton solve is not certified (and for
+        outputs of dimension >= 3), from the grid-LP warm start, the
+        spectral start and min(hhat_starts, 2) - 1 random starts.
     """
 
     tol: float = 1e-6
@@ -494,15 +497,6 @@ def feasible_point_bound_check(channel: Channel, constraint: ConstraintSet,
 # ---------------------------------------------------------------------------
 # brute-force oracle for qubit inputs
 
-@functools.lru_cache(maxsize=4)
-def _grid_neighbours(resolution: int) -> np.ndarray:
-    """Indices (resolution, 8) of the 8 nearest points to each point of
-    the Fibonacci grid of that resolution."""
-    from scipy.spatial import cKDTree  # loaded with scipy.optimize already
-    blochs = _kernels.fibonacci_sphere(resolution)
-    return cKDTree(blochs).query(blochs, k=9)[1][:, 1:]
-
-
 #: most local grid maxima polished per reference
 _MAX_PEAKS = 16
 
@@ -513,7 +507,7 @@ def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
     """sup over the input grid of H(output || ref) - <psi|L|psi>, L =
     linear or 0.  Given neighbours, the (len(blochs), 8) indices of each
     grid point's nearest grid points
-    (see _grid_neighbours), it is refined by a local ascent from every
+    (see _optim._grid_neighbours), it is refined by a local ascent from every
     grid point no lower than its neighbours, the highest _MAX_PEAKS of
     them (the divergence can have several maxima on the sphere).  Each
     refined value is achieved by a pure input, so this never exceeds the
@@ -660,7 +654,7 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
                                          ref, out_hs=out_hs, linear=linear))
         order = np.argsort(sups)
         upper = math.inf
-        neighbours = _grid_neighbours(resolution)
+        neighbours = _optim._grid_neighbours(resolution)
         for idx in order[:4]:
             if sups[idx] >= upper:
                 break  # a polish starts at sups[idx] and only rises

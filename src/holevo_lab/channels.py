@@ -331,7 +331,10 @@ def channel_from_dict(data: dict) -> Channel:
 
 def channel_from_config(cfg: dict) -> Channel:
     """Build a channel from a constructor-by-name config, e.g.
-    {"kind": "depolarizing", "d": 2, "p": 0.5}."""
+    {"kind": "depolarizing", "d": 2, "p": 0.5}.  Raises TypeError when
+    cfg is not a dict (a JSON object)."""
+    if not isinstance(cfg, dict):
+        raise TypeError(f"channel config must be a JSON object, not {type(cfg).__name__}")
     kind = cfg.get("kind")
     if kind == "noiseless":
         return noiseless(cfg["d"])

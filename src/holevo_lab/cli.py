@@ -108,6 +108,8 @@ def _constraint_from_arg(arg: str | None):
     if not arg:
         return UNCONSTRAINED
     data = _load_json_arg(arg)
+    if not isinstance(data, dict):
+        raise ConfigError(f"bad constraint spec: not a JSON object: {arg}")
     kind = data.get("kind", "unconstrained")
     try:
         if kind == "unconstrained":

@@ -465,7 +465,7 @@ def _grid_lp_data(channel, rho, grid=384):
 
 
 def _assert_grid_lp_matches_highs(vals, pts, b):
-    value, mu = _optim._grid_lp(vals, pts, b)
+    value, mu, y = _optim._grid_lp(vals, pts, b)
     a = np.vstack([pts.T, np.ones(len(pts))])
     rhs = np.append(b, 1.0)
     res = sciopt.linprog(vals, A_eq=a, b_eq=rhs, bounds=(0, None), method="highs")
@@ -473,6 +473,10 @@ def _assert_grid_lp_matches_highs(vals, pts, b):
     assert abs(value - res.fun) <= 1e-12
     assert np.max(np.abs(a @ mu - rhs)) <= 1e-12
     assert np.all(mu >= 0.0) and np.count_nonzero(mu) <= 4
+    # duals: strong duality and dual feasibility (not compared with
+    # HiGHS's entry by entry, as they are not unique under degeneracy)
+    assert abs(y @ rhs - value) <= 1e-12
+    assert np.min(vals - a.T @ y) >= -1e-12
 
 
 def test_grid_lp_matches_highs():
@@ -495,6 +499,83 @@ def test_grid_lp_degenerate_cases():
     )
     for channel, state in cases:
         _assert_grid_lp_matches_highs(*_grid_lp_data(channel, state))
+
+
+def _forced_descent(monkeypatch):
+    """Make hhat_qubit's Newton solve give up, so that hhat_search runs the
+    warm-started isometry descent as before the Newton path."""
+    monkeypatch.setattr(_optim, "_hull_newton", lambda *args, **kw: None)
+
+
+def _hhat_cases():
+    # test_grid_lp_matches_highs's 60 seeded cases, then Kraus ranks 1-3
+    rng = np.random.default_rng(3)
+    cases = [(hl.random_channel(rng, 2, 2, 1 + i % 3), random_density(rng, 2).mat)
+             for i in range(60)]
+    gen = np.random.default_rng(22)
+    return cases + [(hl.random_channel(gen, 2, 2, rank), random_density(gen, 2).mat)
+                    for rank in (1, 2, 3) for _ in range(4)]
+
+
+def test_hhat_newton_path_matches_the_descent(monkeypatch):
+    cases = _hhat_cases()
+    newton, certified = [], 0
+    for channel, rho in cases:
+        value, _, _, lower = _optim.hhat_qubit(channel, rho, grid=384)
+        if lower is not None:
+            certified += 1
+            assert lower <= value + 1e-13
+            assert value - lower <= 1e-9
+            assert value <= _optim._grid_lp(*_grid_lp_data(channel, rho))[0]
+        newton.append(_optim.hhat_search(channel, rho, np.random.default_rng(42),
+                                         starts=2, grid=384))
+    assert certified == len(cases)
+    _forced_descent(monkeypatch)
+    for (channel, rho), (value, weights, mats) in zip(cases, newton):
+        descent = _optim.hhat_search(channel, rho, np.random.default_rng(42),
+                                     starts=2, grid=384)[0]
+        assert value <= descent + 1e-12
+        assert abs(value - descent) <= 1e-12
+        # the members decompose rho
+        assert np.max(np.abs(np.einsum("i,ijk->jk", weights, np.array(mats)) - rho)) <= 1e-12
+
+
+# chi_function(channel, rho, verify.CHI_OPTS) on default_rng(2210) cases
+# (Kraus ranks 1, 1, 1, 2, 3 on qubits, then a rank-1 qubit -> qutrit
+# channel), recorded with the warm-started descent on every mixed input
+CHI_2210 = ("0x1.d9639a3a674c2p-3", "0x1.3653777585915p-2", "0x1.fd68b8d37679ap-2",
+            "0x1.a7a11857583bcp-3", "0x1.f84b797a817e0p-5", "0x1.6cda9e27b1a8fp-3")
+
+
+def _cases_2210():
+    rng = np.random.default_rng(2210)
+    cases = []
+    for rank in (1, 1, 1, 2, 3):
+        cases.append((hl.random_channel(rng, 2, 2, rank), random_density(rng, 2)))
+    cases.append((hl.random_channel(rng, 2, 3, 1), random_density(rng, 2)))
+    return cases
+
+
+def test_hhat_zero_lp_value_skips_the_descent(monkeypatch):
+    # Kraus rank 1: every pure input has a pure output, so the grid LP's
+    # value is 0 and no descent can beat it
+    from holevo_lab import verify
+
+    def forbidden(*args, **kw):
+        raise AssertionError("descent called")
+    monkeypatch.setattr(_optim, "hhat_isometry_search", forbidden)
+    cases = _cases_2210()
+    for i in (0, 1, 2, 5):
+        channel, rho = cases[i]
+        assert hl.chi_function(channel, rho, verify.CHI_OPTS).hex() == CHI_2210[i]
+        assert _optim.hhat_qubit(channel, rho.mat, grid=384)[3] == 0.0
+
+
+def test_hhat_forced_fallback_keeps_the_descent_value(monkeypatch):
+    from holevo_lab import verify
+    _forced_descent(monkeypatch)
+    for (channel, rho), want in zip(_cases_2210(), CHI_2210):
+        assert hl.chi_function(channel, rho, verify.CHI_OPTS).hex() == want
 
 
 def _qr_reference(v):
@@ -1001,11 +1082,10 @@ def test_oracle_energy_weights_certify_full_grid_gap():
 
 
 def test_grid_neighbours_are_nearest():
-    from holevo_lab.capacity import _grid_neighbours
     pts = _kernels.fibonacci_sphere(1500)
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     want = np.sort(np.argsort(dist, axis=1)[:, 1:9], axis=1)
-    assert np.array_equal(np.sort(_grid_neighbours(1500), axis=1), want)
+    assert np.array_equal(np.sort(_optim._grid_neighbours(1500), axis=1), want)
 
 
 # inputs of the perfbench qubit workload (Kraus rank 2, 3, 4 in turn) where
@@ -1022,7 +1102,7 @@ WITNESS_ABOVE_UPPER = {
 
 @pytest.mark.parametrize("seed, op", sorted(WITNESS_ABOVE_UPPER))
 def test_oracle_upper_end_above_witness_chi(seed, op):
-    from holevo_lab.capacity import _grid_neighbours, _grid_sup_to_ref
+    from holevo_lab.capacity import _grid_sup_to_ref
     from holevo_lab.channels import state_of_bloch
     rng = np.random.default_rng(seed)
     for i in range(op + 1):
@@ -1034,7 +1114,7 @@ def test_oracle_upper_end_above_witness_chi(seed, op):
     out_blochs, outs = _optim.qubit_grid_outputs(ch, blochs)
     ref = state_of_bloch(np.array(WITNESS_ABOVE_UPPER[seed, op]))
     assert _grid_sup_to_ref(ch, blochs, out_blochs, outs, ref,
-                            _grid_neighbours(16384)) >= chi
+                            _optim._grid_neighbours(16384)) >= chi
 
 
 # --- optimal output state ----------------------------------------------------

@@ -98,6 +98,14 @@ def test_exit_code_config_error_plain_real_matrices(capsys):
     assert err.count("config error: bad ") == 3 and "Traceback" not in err
 
 
+def test_exit_code_config_error_json_not_an_object(capsys):
+    assert main(["capacity", "--channel", "[1]"]) == 1
+    assert main(["capacity", "--channel", '{"kind":"noiseless","d":2}',
+                 "--constraint", "[1]"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error: bad ") == 2 and "Traceback" not in err
+
+
 def test_byte_stability(tmp_path, capsys):
     args = ["capacity", "--channel", '{"kind":"depolarizing","d":2,"p":0.3}',
             "--seed", "42"]
