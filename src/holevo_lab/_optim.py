@@ -16,7 +16,8 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from . import _kernels
-from .channels import _PAULIS, Channel, bloch_map, bloch_of_state, bloch_of_states
+from .channels import (
+    _PAULIS, Channel, _memoized, bloch_map, bloch_of_state, bloch_of_states)
 from .opalg import entropy_batch, entropy_raw, logm_psd
 
 LOG_FLOOR = 1e-300
@@ -645,6 +646,10 @@ def radius_sup(channel: Channel, ref: np.ndarray, rng: np.random.Generator,
     ensemble, by Donald's identity sum_i w_i D(Phi(psi_i)||ref) = chi +
     D(omega||ref) it is at least the ensemble's chi.  polish=False skips
     the polish and the starts, for callers that only need a cheap ranking.
+    The qubit grid's inputs, outputs and output entropies come from the
+    channel's grid table (_grid_table, built once per channel and grid
+    size), so a call computes only the cross term Tr Y log ref and the
+    linear term over the grid.
     """
     d = channel.d_in
     mass, esc = escape_witness(channel, ref)
@@ -668,17 +673,21 @@ def radius_sup(channel: Channel, ref: np.ndarray, rng: np.random.Generator,
         return float(vals[order[0]]), [psis[i] for i in order[:2]], True
 
     if d == 2:
-        blochs = _kernels.fibonacci_sphere(grid)
-        psis = qubit_pure_states(blochs)
+        # relent_to_ref_batch and the linear term of value_of on the
+        # channel's grid table
+        psis, outs, hs = _grid_table(channel, grid)
+        vals = -hs - np.real(np.einsum("gij,ji->g", outs, log_ref))
+        if linear is not None:
+            vals = vals - np.real(np.einsum("gi,ij,gj->g", psis.conj(), linear, psis))
         certify = True
     else:
         psis = seed_pure_states(d, MULTISTART, rng)
+        vals = value_of(psis)
         certify = False
-    vals = value_of(psis)
     order = np.argsort(vals)[::-1]
-    best_val, best_psi = float(vals[order[0]]), psis[order[0]]
+    best_val, best_psi = float(vals[order[0]]), psis[order[0]].copy()
     if not polish:
-        return best_val, [psis[i] for i in order[:2]], certify
+        return best_val, list(psis[order[:2]]), certify
     heads = psis[order[:8 if d == 2 else MULTISTART // 2]]
     n_grid = len(heads)
     if starts is not None:
@@ -894,12 +903,24 @@ def qubit_grid_outputs(channel: Channel, blochs: np.ndarray):
     return None, batch_outputs_pure(channel, qubit_pure_states(blochs))
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=8)
 def _fibonacci_grid(grid: int) -> np.ndarray:
-    """The Bloch grid of hhat_qubit, built once per size (read-only)."""
+    """_kernels.fibonacci_sphere(grid), built once per size (read-only):
+    the one source of Bloch grids in the library."""
     pts = _kernels.fibonacci_sphere(grid)
     pts.flags.writeable = False
     return pts
+
+
+def _grid_table(channel: Channel, grid: int):
+    """(pure inputs (G, 2), outputs (G, d, d), their entropies (G,)) on
+    the Fibonacci grid of G = grid points, built once per channel
+    (read-only)."""
+    def build():
+        psis = qubit_pure_states(_fibonacci_grid(grid))
+        outs = batch_outputs_pure(channel, psis)
+        return psis, outs, entropy_batch(outs)
+    return _memoized(channel, ("grid", grid), build)
 
 
 def _grid_lp(vals: np.ndarray, pts: np.ndarray, b: np.ndarray):
@@ -949,7 +970,7 @@ def _grid_neighbours(resolution: int) -> np.ndarray:
     """Indices (resolution, 8) of the 8 nearest points to each point of
     the Fibonacci grid of that resolution."""
     from scipy.spatial import cKDTree  # loaded with scipy.optimize already
-    blochs = _kernels.fibonacci_sphere(resolution)
+    blochs = _fibonacci_grid(resolution)
     return cKDTree(blochs).query(blochs, k=9)[1][:, 1:]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from . import _kernels, _optim
-from .channels import Channel, bloch_map, bloch_of_state, state_of_bloch
+from .channels import Channel, bloch_map, bloch_of_state, bloch_of_states, state_of_bloch
 from .ensembles import Ensemble, average_state, chi_quantity
 from .opalg import (
     DensityOperator,
@@ -296,12 +296,10 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
     def _grid_seed_states():
         # column generation on a coarse grid locates the optimal support
         # structure cheaply
-        blochs = _kernels.fibonacci_sphere(256)
-        psis = _optim.qubit_pure_states(blochs)
-        outs0 = _optim.batch_outputs_pure(channel, psis)
+        psis, outs0, _ = _optim._grid_table(channel, 256)
         w_grid = _optim.column_generation(_optim.weight_backend(outs0), len(psis)).w
         tops = np.argsort(w_grid)[::-1][:8]
-        return [psis[i] for i in tops if w_grid[i] > 1e-8]
+        return list(psis[tops[w_grid[tops] > 1e-8]])
 
     grid_seeded = not (d == 2 and "classical" not in channel.tags)
 
@@ -501,6 +499,18 @@ def feasible_point_bound_check(channel: Channel, constraint: ConstraintSet,
 _MAX_PEAKS = 16
 
 
+#: references of least grid sup that the oracle polishes
+_POLISHED_REFS = 4
+
+#: every how many grid points the oracle's ranking bound is taken
+_BOUND_STRIDE = 32
+
+
+def _energy(linear: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """<psi|L|psi> = Tr L (I + p.sigma)/2 at the input Bloch vectors p."""
+    return 0.5 * (np.trace(linear).real + p @ bloch_of_state(linear))
+
+
 def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
                      ref_mat: np.ndarray, neighbours=None, out_hs=None,
                      linear=None) -> float:
@@ -513,10 +523,6 @@ def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
     refined value is achieved by a pure input, so this never exceeds the
     true sup.  out_hs: the entropies of the grid outputs out_blochs, if
     known."""
-    def energy(p):
-        # <psi|L|psi> = Tr L (I + p.sigma)/2 at the input Bloch vectors p
-        return 0.5 * (np.trace(linear).real + p @ bloch_of_state(linear))
-
     if out_blochs is not None:
         ref_b = bloch_of_state(ref_mat)
         if np.linalg.norm(ref_b) >= 1.0 - 1e-12 \
@@ -528,7 +534,7 @@ def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
             return math.inf
         vals = _optim.relent_to_ref_batch(outs, ref_mat)
     if linear is not None:
-        vals = vals - energy(blochs)
+        vals = vals - _energy(linear, blochs)
     best = float(np.max(vals))
     if math.isinf(best) or neighbours is None:
         return best
@@ -549,7 +555,7 @@ def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
             st = math.sin(th)
             p = np.array([st * math.cos(ph), st * math.sin(ph), math.cos(th)])
             val = divergence(tm @ p + tv)
-            return -val if linear is None else energy(p) - val
+            return -val if linear is None else _energy(linear, p) - val
     else:
         log_ref = logm_psd(ref_mat)
 
@@ -567,6 +573,46 @@ def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
                               options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-13})
         best = max(best, float(-res.fun))
     return best
+
+
+def _reference_sups(channel: Channel, blochs: np.ndarray, out_blochs, outs,
+                    cands: list, out_hs=None, linear=None) -> list:
+    """Unpolished grid sups of the candidate references, exact wherever
+    they can rank among the _POLISHED_REFS least.
+
+    Every candidate is first bounded from below by its sup over every
+    _BOUND_STRIDE-th grid point, in one product over all candidates; on
+    qubit outputs a candidate of Bloch radius within 1e-10 of 1 gets
+    bound -inf, so that its full scan applies the escape test.
+    Candidates then get the full _grid_sup_to_ref in ascending order of
+    bound, until _POLISHED_REFS are scanned and the next bound exceeds
+    the _POLISHED_REFS-th least full sup by more than rounding, 1e-12 (1
+    + |bound|).  A candidate left unscanned keeps its bound, which lies
+    above those least full sups, as its own full sup does: the
+    _POLISHED_REFS least entries are the same as with every candidate
+    scanned."""
+    sub = slice(None, None, _BOUND_STRIDE)
+    if out_blochs is not None:
+        ref_bs = bloch_of_states(np.stack(cands))
+        vals = _kernels.relent_pairwise(out_blochs[sub], ref_bs)
+        vals[:, np.linalg.norm(ref_bs, axis=1) >= 1.0 - 1e-10] = -math.inf
+    else:  # relent_to_ref_batch at every candidate
+        logs = np.stack([logm_psd(c) for c in cands])
+        vals = -entropy_batch(outs[sub])[:, None] \
+            - np.real(np.einsum("gij,cji->gc", outs[sub], logs))
+    if linear is not None:
+        vals = vals - _energy(linear, blochs[sub])[:, None]
+    bounds = vals.max(axis=0)
+    sups = [float(b) for b in bounds]
+    full = []
+    for idx in np.argsort(bounds, kind="stable"):
+        if len(full) >= _POLISHED_REFS and bounds[idx] > \
+                sorted(full)[_POLISHED_REFS - 1] + 1e-12 * (1.0 + abs(bounds[idx])):
+            break
+        sups[idx] = _grid_sup_to_ref(channel, blochs, out_blochs, outs, cands[idx],
+                                     out_hs=out_hs, linear=linear)
+        full.append(sups[idx])
+    return sups
 
 
 def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRAINED,
@@ -588,11 +634,18 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
     order, and a reference whose grid sup is already no lower than the
     running min is skipped with all after it: a polish starts from that
     grid sup and only rises, so the skip leaves the min unchanged.  The
-    bracket is guaranteed up to the grid modulus.
+    ranking scans in full only the references that can be among those
+    four (see _reference_sups): each is first bounded from below by its
+    sup over every 32nd grid point, which never exceeds its sup over the
+    whole grid, and references are scanned in ascending order of bound
+    until four are and the next bound lies above the fourth-least full
+    sup.  So the four references, their grid sups and the bracket are
+    those of a full scan of every reference.  The bracket is guaranteed
+    up to the grid modulus.
     """
     if channel.d_in != 2:
         raise DimensionMismatch("brute force oracle supports d_in = 2 only")
-    blochs = _kernels.fibonacci_sphere(resolution)
+    blochs = _optim._fibonacci_grid(resolution)
     out_blochs, outs = _optim.qubit_grid_outputs(channel, blochs)
     out_hs = None if out_blochs is None else \
         _kernels.entropy_from_radius(np.linalg.norm(out_blochs, axis=1))
@@ -628,7 +681,7 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
     if not isinstance(constraint, Singleton):  # the lower end's average output
         cands.append(state_of_bloch(w @ out_blochs) if out_blochs is not None
                      else np.einsum("i,ijk->jk", w, outs))
-    dirs = _kernels.fibonacci_sphere(32)
+    dirs = _optim._fibonacci_grid(32)
     for r in (0.0, 1.0 / 3.0, 2.0 / 3.0, 0.95):
         for u in dirs if r > 0 else dirs[:1]:
             cands.append(channel.apply_raw(state_of_bloch(r * u)))
@@ -648,14 +701,12 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
         # divergence sup alone at lam = 0 and on the ground states (inf)
         lagrangian = 0.0 < lmb < math.inf
         linear = lmb * constraint.H.mat if lagrangian else None
-        sups = []
-        for ref in cands:
-            sups.append(_grid_sup_to_ref(channel, blochs, out_blochs, outs,
-                                         ref, out_hs=out_hs, linear=linear))
+        sups = _reference_sups(channel, blochs, out_blochs, outs, cands,
+                               out_hs=out_hs, linear=linear)
         order = np.argsort(sups)
         upper = math.inf
         neighbours = _optim._grid_neighbours(resolution)
-        for idx in order[:4]:
+        for idx in order[:_POLISHED_REFS]:
             if sups[idx] >= upper:
                 break  # a polish starts at sups[idx] and only rises
             upper = min(upper, _grid_sup_to_ref(channel, blochs, out_blochs, outs,

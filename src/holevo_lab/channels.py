@@ -36,13 +36,19 @@ KNOWN_TAGS = {
 
 @dataclass(frozen=True)
 class Channel:
-    """CPTP map in Kraus form; immutable after construction."""
+    """CPTP map in Kraus form; immutable after construction.
+
+    Each instance keeps a private memo of values derived from its Kraus
+    operators alone (see _memoized); it is not a field, so equality, repr
+    and channel_to_dict ignore it."""
 
     kraus: tuple = field(repr=False)
     tags: frozenset = frozenset()
 
     def __post_init__(self):
         ks = tuple(np.array(k, dtype=complex) for k in self.kraus)
+        for k in ks:
+            k.flags.writeable = False
         if not ks:
             raise InvalidOperand("channel needs at least one Kraus operator")
         d_out, d_in = ks[0].shape
@@ -57,6 +63,7 @@ class Channel:
             raise InvalidOperand(f"unknown channel tags {sorted(tags - KNOWN_TAGS)}")
         object.__setattr__(self, "kraus", ks)
         object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def d_in(self) -> int:
@@ -88,6 +95,18 @@ class Channel:
         for k in self.kraus:
             out += k.conj().T @ x @ k
         return out
+
+
+def _memoized(channel: Channel, key, build):
+    """The tuple of arrays build() under key in the channel's memo, built
+    on first use and read-only from then on."""
+    memo = channel._memo
+    if key not in memo:
+        value = build()
+        for a in value:
+            a.flags.writeable = False
+        memo[key] = value
+    return memo[key]
 
 
 def apply(channel: Channel, rho: DensityOperator) -> DensityOperator:
@@ -396,16 +415,20 @@ def state_of_bloch(b: np.ndarray) -> np.ndarray:
 
 
 def bloch_map(channel: Channel) -> tuple[np.ndarray, np.ndarray]:
-    """Affine Bloch representation (T, t) of a qubit->qubit channel."""
+    """Affine Bloch representation (T, t) of a qubit->qubit channel,
+    built once per channel (read-only)."""
     if channel.d_in != 2 or channel.d_out != 2:
         raise DimensionMismatch("Bloch form needs d_in = d_out = 2")
-    t = bloch_of_state(channel.apply_raw(0.5 * np.eye(2, dtype=complex)))
-    tm = np.zeros((3, 3))
-    for b in range(3):
-        img = channel.apply_raw(0.5 * _PAULIS[b])
-        for a in range(3):
-            tm[a, b] = np.trace(img @ _PAULIS[a]).real
-    return tm, t
+
+    def build():
+        t = bloch_of_state(channel.apply_raw(0.5 * np.eye(2, dtype=complex)))
+        tm = np.zeros((3, 3))
+        for b in range(3):
+            img = channel.apply_raw(0.5 * _PAULIS[b])
+            for a in range(3):
+                tm[a, b] = np.trace(img @ _PAULIS[a]).real
+        return tm, t
+    return _memoized(channel, "bloch_map", build)
 
 
 def reduced_states(w: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:

@@ -111,6 +111,35 @@ def test_radius_sup_is_at_least_every_start(rng):
         assert relative_entropy_raw(ch.apply_raw(np.outer(psi, psi.conj())), ref) >= div - 1e-12
 
 
+def test_radius_sup_on_a_warm_channel_matches_a_fresh_copy():
+    # the grid table is built on the first call per channel and grid; later
+    # calls, and a fresh channel with the same Kraus operators, give the
+    # same values and vectors bit for bit, and the unpolished value is the
+    # max of relent_to_ref_batch less the linear term over the grid
+    rng = np.random.default_rng(23)
+    linear = np.diag([0.0, 0.7]).astype(complex)
+    for d_out, rank in ((2, 2), (2, 4), (3, 3)):
+        ch = hl.random_channel(rng, 2, d_out, rank)
+        ref = random_density(rng, d_out).mat
+        for grid in (1024, 4096):
+            psis = _optim.qubit_pure_states(_kernels.fibonacci_sphere(grid))
+            outs = _optim.batch_outputs_pure(ch, psis)
+            for lin in (None, linear):
+                vals = _optim.relent_to_ref_batch(outs, ref)
+                if lin is not None:
+                    vals = vals - np.real(np.einsum("gi,ij,gj->g", psis.conj(), lin, psis))
+                for polish in (False, True):
+                    runs = [_optim.radius_sup(c, ref, np.random.default_rng(0), grid=grid,
+                                              linear=lin, polish=polish)
+                            for c in (ch, ch, Channel(ch.kraus, tags=ch.tags))]
+                    if not polish:
+                        assert runs[0][0].hex() == float(np.max(vals)).hex()
+                    for val, states, cert in runs[1:]:
+                        assert val.hex() == runs[0][0].hex() and cert == runs[0][2]
+                        assert len(states) == len(runs[0][1])
+                        assert all(np.array_equal(a, b) for a, b in zip(states, runs[0][1]))
+
+
 # --- pure-state ascent -------------------------------------------------------
 
 def _matrix_ascent(channel, log_ref, psi0, linear=None, iters=150):
@@ -990,6 +1019,66 @@ def test_oracle_reference_pruning_is_exact(monkeypatch):
             assert min(full).hex() == min(c[3] for c in done).hex()
             skipped += 4 - len(done)
     assert skipped > 0
+
+
+def _ranking_cases():
+    rng = np.random.default_rng(23)
+    bound = hl.ExpectationBound(hl.HermitianOperator(np.diag([0.0, 1.0])), 0.3)
+    # Kraus rank 1 is a unitary channel; full amplitude damping sends every
+    # candidate reference to the pure |0><0|
+    damping = Channel((np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])))
+    chans = [hl.random_channel(rng, 2, 2, rank) for rank in (1, 2, 3, 4)]
+    chans += [damping, hl.random_channel(rng, 2, 3, 2)]
+    return [(ch, c) for ch in chans for c in (hl.UNCONSTRAINED, bound)]
+
+
+def test_oracle_reference_ranking_is_exact(monkeypatch):
+    # against a full scan of every candidate reference: a reference left
+    # unscanned has a full grid sup above the four least, and polishing the
+    # four least full sups under the skip rule gives the oracle's bracket
+    from holevo_lab import capacity as capmod
+    real_rank, real_sup = capmod._reference_sups, capmod._grid_sup_to_ref
+    seen = {}
+
+    def rank_spy(*args, **kw):
+        seen["scanned"] = []
+        seen["args"], seen["kw"] = args, kw
+        seen["sups"] = real_rank(*args, **kw)
+        return seen["sups"]
+
+    def sup_spy(channel, blochs, out_blochs, outs, ref, neighbours=None, **kw):
+        if neighbours is None:
+            seen["scanned"].append(id(ref))
+        return real_sup(channel, blochs, out_blochs, outs, ref, neighbours, **kw)
+    monkeypatch.setattr(capmod, "_reference_sups", rank_spy)
+    monkeypatch.setattr(capmod, "_grid_sup_to_ref", sup_spy)
+    scans = cands_total = 0
+    for ch, constraint in _ranking_cases():
+        lo, up = hl.brute_force_capacity(ch, constraint, resolution=4096)
+        channel, blochs, out_blochs, outs, cands = seen["args"]
+        kw = {"out_hs": seen["kw"]["out_hs"], "linear": seen["kw"]["linear"]}
+        full = [real_sup(channel, blochs, out_blochs, outs, c, **kw) for c in cands]
+        fourth = sorted(full)[3]
+        for c, got, want in zip(cands, seen["sups"], full):
+            if id(c) in seen["scanned"]:
+                assert got.hex() == want.hex()
+            else:
+                assert want > fourth and got > fourth
+        order = np.argsort(full)
+        upper = math.inf
+        neighbours = _optim._grid_neighbours(len(blochs))
+        for idx in order[:4]:
+            if full[idx] >= upper:
+                break
+            upper = min(upper, real_sup(channel, blochs, out_blochs, outs, cands[int(idx)],
+                                        neighbours, **kw))
+        if kw["linear"] is not None:
+            upper += kw["linear"][1, 1].real * constraint.h
+        assert float(max(upper, lo)).hex() == up.hex()
+        if channel.kraus[0][1, 1] != 0.0:  # not the damping channel
+            scans += len(seen["scanned"])
+            cands_total += len(cands)
+    assert scans < cands_total / 4
 
 
 # capacity values, outer iterations and oracle brackets (by float.hex) of

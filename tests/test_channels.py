@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -250,3 +251,22 @@ def test_bloch_map_roundtrip(rng):
         direct = bloch_of_state(ch.apply(rho).mat)
         assert np.allclose(tm @ v + tv, direct, atol=1e-12)
     assert np.allclose(state_of_bloch(bloch_of_state(rho.mat)), rho.mat, atol=1e-12)
+
+
+def test_channel_memo_is_per_instance_and_read_only(rng):
+    ch = hl.random_channel(rng, 2, 2, 3)
+    before = (repr(ch), channel_to_dict(ch))
+    tm, tv = bloch_map(ch)
+    again = bloch_map(ch)
+    assert again[0] is tm and again[1] is tv
+    for a in (tm, tv, ch.kraus[0]):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    # equal Kraus operators, separate memos
+    twin = hl.Channel(ch.kraus, tags=ch.tags)
+    twin_tm, twin_tv = bloch_map(twin)
+    assert twin_tm is not tm and twin_tv is not tv
+    assert np.array_equal(twin_tm, tm) and np.array_equal(twin_tv, tv)
+    assert (repr(ch), channel_to_dict(ch)) == before == (repr(twin), channel_to_dict(twin))
+    assert channels_equal(ch, twin)
+    assert [f.name for f in dataclasses.fields(ch)] == ["kraus", "tags"]
