@@ -85,19 +85,6 @@ def relent_to_ref(A: np.ndarray, b: np.ndarray, entropies=None) -> np.ndarray:
     return -entropies - (alpha[0] + beta[0] * cos)
 
 
-def divergence_to_ref(b: np.ndarray):
-    """a -> H(rho_a || rho_b) for one Bloch vector a and a fixed reference
-    b with |b| < _PURE_EDGE: the closed form of relent_to_ref, without
-    array overhead."""
-    rb = math.sqrt(b @ b)
-    alpha, beta = (float(x[0]) for x in _log_coefficients(np.array([rb])))
-    bhat = b / rb if rb > 0.0 else b
-
-    def divergence(a):
-        return -entropy_of_radius(math.sqrt(a @ a)) - alpha - beta * float(a @ bhat)
-    return divergence
-
-
 def entropy_of_radius(r: float) -> float:
     """entropy_from_radius for a single radius, without array overhead."""
     r = min(r, 1.0)

@@ -968,10 +968,14 @@ def _grid_lp(vals: np.ndarray, pts: np.ndarray, b: np.ndarray):
 @functools.lru_cache(maxsize=4)
 def _grid_neighbours(resolution: int) -> np.ndarray:
     """Indices (resolution, 8) of the 8 nearest points to each point of
-    the Fibonacci grid of that resolution."""
+    the Fibonacci grid of that resolution, stored column-major
+    (read-only): vals[neighbours.T] is an (8, resolution) gather whose
+    reductions over axis 0 run along contiguous rows."""
     from scipy.spatial import cKDTree  # loaded with scipy.optimize already
     blochs = _fibonacci_grid(resolution)
-    return cKDTree(blochs).query(blochs, k=9)[1][:, 1:]
+    idx = np.asfortranarray(cKDTree(blochs).query(blochs, k=9)[1][:, 1:])
+    idx.flags.writeable = False
+    return idx
 
 
 #: LP support points closer than 15 degrees start Newton as one point
@@ -1109,24 +1113,20 @@ def _hull_newton(tm, tv, b, pts, mu, dual, max_steps: int = 30):
     return None
 
 
-def _sphere_min(tm, tv, grid_pts, reduced, y, starts, steps: int = 8) -> float:
-    """Estimate of min over the sphere of g(p) - y.[p; 1] (g as in
-    _sphere_derivatives, y (4,)), from its values `reduced` on the Fibonacci
-    grid grid_pts: the least of them, and the least value reached by a
-    batched Riemannian Newton polish from the points starts (k, 3) and
-    from the lowest _MAX_MINIMA grid points no higher than their 8 nearest
-    neighbours.  Where the Hessian is not positive definite it is shifted
-    by twice its least eigenvalue, and a step is at most 0.3 rad long.
-    Each value is attained, so this is an upper estimate of the minimum:
-    a dip of the function outside every polished basin is missed.
-    Polishing stops at an output within 1e-12 of pure."""
-    best = float(reduced.min())
-    near = reduced[_grid_neighbours(len(grid_pts))]
-    minima = np.flatnonzero(reduced <= near.min(axis=1))
-    p = np.vstack((starts, grid_pts[minima[np.argsort(reduced[minima])[:_MAX_MINIMA]]]))
+def _sphere_polish(tm, tv, p, y, steps: int = 8) -> float:
+    """Least value of g(p) - y.p (g as in _sphere_derivatives, y (3,))
+    reached by a batched Riemannian Newton polish (Absil, Mahony &
+    Sepulchre 2008) from the points p (k, 3), the starts included.
+    Where the Hessian is not positive definite it is shifted by twice
+    its least eigenvalue, and a step is at most 0.3 rad long.  A point
+    stops at an output within 1e-12 of pure, at a gradient of at most
+    1e-15 or at a step under 1e-8, and every point after `steps` steps.  Each value is
+    attained, so this is an upper estimate of the minimum near the
+    starts; a step may rise, and the least value is kept."""
+    best = math.inf
     for _ in range(steps):
-        g, frames, rgrad, rhess, r = _sphere_derivatives(tm, tv, p, y[:3])
-        best = min(best, float(np.min(g - p @ y[:3])) - y[3])
+        g, frames, rgrad, rhess, r = _sphere_derivatives(tm, tv, p, y)
+        best = min(best, float(np.min(g - p @ y)))
         go = (r < 1.0 - 1e-12) & (np.max(np.abs(rgrad), axis=1) > 1e-15)
         if not go.any():
             break
@@ -1145,6 +1145,21 @@ def _sphere_min(tm, tv, grid_pts, reduced, y, starts, steps: int = 8) -> float:
         delta = delta[move] * np.minimum(1.0, 0.3 / size[move])[:, None]
         p = _retract(p[go][move], frames[go][move], delta)
     return best
+
+
+def _sphere_min(tm, tv, grid_pts, reduced, y, starts, steps: int = 8) -> float:
+    """Estimate of min over the sphere of g(p) - y.[p; 1] (g as in
+    _sphere_derivatives, y (4,)), from its values `reduced` on the Fibonacci
+    grid grid_pts: the least of them, and the least value _sphere_polish
+    reaches in `steps` steps from the points starts (k, 3) and from the
+    lowest _MAX_MINIMA grid points no higher than their 8 nearest
+    neighbours.  Each value is attained, so this is an upper estimate of
+    the minimum: a dip of the function outside every polished basin is
+    missed."""
+    near = reduced[_grid_neighbours(len(grid_pts)).T]
+    minima = np.flatnonzero(reduced <= near.min(axis=0))
+    p = np.vstack((starts, grid_pts[minima[np.argsort(reduced[minima])[:_MAX_MINIMA]]]))
+    return min(float(reduced.min()), _sphere_polish(tm, tv, p, y[:3], steps) - y[3])
 
 
 def hhat_qubit(channel: Channel, rho: np.ndarray, grid: int = 512):

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from . import _kernels, _optim
-from .channels import Channel, bloch_map, bloch_of_state, bloch_of_states, state_of_bloch
+from .channels import Channel, bloch_map, bloch_of_state, state_of_bloch
 from .ensembles import Ensemble, average_state, chi_quantity
 from .opalg import (
     DensityOperator,
@@ -511,59 +511,70 @@ def _energy(linear: np.ndarray, p: np.ndarray) -> np.ndarray:
     return 0.5 * (np.trace(linear).real + p @ bloch_of_state(linear))
 
 
+def _ref_matrix(ref: np.ndarray) -> np.ndarray:
+    """The reference state given as a matrix, or as a qubit Bloch vector."""
+    return state_of_bloch(ref) if ref.ndim == 1 else ref
+
+
 def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
-                     ref_mat: np.ndarray, neighbours=None, out_hs=None,
+                     ref: np.ndarray, neighbours=None, out_hs=None,
                      linear=None) -> float:
     """sup over the input grid of H(output || ref) - <psi|L|psi>, L =
-    linear or 0.  Given neighbours, the (len(blochs), 8) indices of each
-    grid point's nearest grid points
-    (see _optim._grid_neighbours), it is refined by a local ascent from every
+    linear or 0; ref is the reference state, a matrix or, on qubit
+    outputs, its Bloch vector (3,).  Given neighbours, the (len(blochs),
+    8) indices of each grid point's nearest grid points (see
+    _optim._grid_neighbours), it is refined by a local ascent from every
     grid point no lower than its neighbours, the highest _MAX_PEAKS of
-    them (the divergence can have several maxima on the sphere).  Each
-    refined value is achieved by a pure input, so this never exceeds the
-    true sup.  out_hs: the entropies of the grid outputs out_blochs, if
-    known."""
+    them (the divergence can have several maxima on the sphere).
+
+    On qubit outputs, with log ref = alpha I + beta bhat.sigma and L =
+    l0 I + l.sigma, the function at the input Bloch vector p is c -
+    (h(|T p + t|) - y.p) with y = -beta T^T bhat - l and c = -alpha - beta
+    bhat.t - l0, (T, t) = bloch_map(channel): all peaks go through one
+    batched Newton polish of h(|T p + t|) - y.p (_optim._sphere_polish).
+    A reference within _kernels._PURE_EDGE of pure, and matrix outputs,
+    are polished by Nelder-Mead on the angles of the input, one peak at
+    a time.  Each refined value is achieved by a pure input, so this
+    never exceeds the true sup.  out_hs: the entropies of the grid
+    outputs out_blochs, if known."""
     if out_blochs is not None:
-        ref_b = bloch_of_state(ref_mat)
-        if np.linalg.norm(ref_b) >= 1.0 - 1e-12 \
-                and _optim.escape_witness(channel, ref_mat)[0] > 1e-8:
+        ref_b = ref if ref.ndim == 1 else bloch_of_state(ref)
+        rb = np.linalg.norm(ref_b)
+        if rb >= 1.0 - 1e-12 \
+                and _optim.escape_witness(channel, _ref_matrix(ref))[0] > 1e-8:
             return math.inf
         vals = _kernels.relent_to_ref(out_blochs, ref_b, out_hs)
     else:
-        if _optim.escape_witness(channel, ref_mat)[0] > 1e-8:
+        if _optim.escape_witness(channel, ref)[0] > 1e-8:
             return math.inf
-        vals = _optim.relent_to_ref_batch(outs, ref_mat)
+        vals = _optim.relent_to_ref_batch(outs, ref)
     if linear is not None:
         vals = vals - _energy(linear, blochs)
     best = float(np.max(vals))
     if math.isinf(best) or neighbours is None:
         return best
-    near = vals[neighbours]
+    near = vals[neighbours.T]
     # a peak also rises above its lowest neighbour by more than rounding,
     # so that a flat divergence polishes from its argmax alone
-    peaks = np.flatnonzero((vals >= near.max(axis=1))
-                           & (vals > near.min(axis=1) + 1e-12 * (1.0 + abs(best))))
+    peaks = np.flatnonzero((vals >= near.max(axis=0))
+                           & (vals > near.min(axis=0) + 1e-12 * (1.0 + abs(best))))
     peaks = np.union1d(peaks, [int(np.argmax(vals))])
     peaks = peaks[np.argsort(vals[peaks])[::-1][:_MAX_PEAKS]]
-    if out_blochs is not None and np.linalg.norm(ref_b) < _kernels._PURE_EDGE:
-        # the grid's own closed form, at the output T p + t
+    if out_blochs is not None and rb < _kernels._PURE_EDGE:
         tm, tv = bloch_map(channel)
-        divergence = _kernels.divergence_to_ref(ref_b)
+        alpha, beta = (float(x[0]) for x in _kernels._log_coefficients(np.array([rb])))
+        bhat = ref_b / rb if rb > 0.0 else ref_b
+        l0, l = (0.0, np.zeros(3)) if linear is None else _optim._pauli_parts(linear)
+        y = -beta * (tm.T @ bhat) - l
+        c = -alpha - beta * float(bhat @ tv) - l0
+        return max(best, c - _optim._sphere_polish(tm, tv, blochs[peaks], y))
+    log_ref = logm_psd(_ref_matrix(ref))
 
-        def neg_f(ang):
-            th, ph = ang
-            st = math.sin(th)
-            p = np.array([st * math.cos(ph), st * math.sin(ph), math.cos(th)])
-            val = divergence(tm @ p + tv)
-            return -val if linear is None else _energy(linear, p) - val
-    else:
-        log_ref = logm_psd(ref_mat)
-
-        def neg_f(ang):
-            th, ph = ang
-            psi = np.array([math.cos(th / 2.0),
-                            complex(math.cos(ph), math.sin(ph)) * math.sin(th / 2.0)])
-            return -_optim.pure_value(channel, log_ref, psi, linear)[0]
+    def neg_f(ang):
+        th, ph = ang
+        psi = np.array([math.cos(th / 2.0),
+                        complex(math.cos(ph), math.sin(ph)) * math.sin(th / 2.0)])
+        return -_optim.pure_value(channel, log_ref, psi, linear)[0]
 
     for idx in peaks:
         u = blochs[idx]
@@ -578,7 +589,8 @@ def _grid_sup_to_ref(channel: Channel, blochs: np.ndarray, out_blochs, outs,
 def _reference_sups(channel: Channel, blochs: np.ndarray, out_blochs, outs,
                     cands: list, out_hs=None, linear=None) -> list:
     """Unpolished grid sups of the candidate references, exact wherever
-    they can rank among the _POLISHED_REFS least.
+    they can rank among the _POLISHED_REFS least; the candidates are
+    Bloch vectors (3,) on qubit outputs and matrices otherwise.
 
     Every candidate is first bounded from below by its sup over every
     _BOUND_STRIDE-th grid point, in one product over all candidates; on
@@ -593,7 +605,7 @@ def _reference_sups(channel: Channel, blochs: np.ndarray, out_blochs, outs,
     scanned."""
     sub = slice(None, None, _BOUND_STRIDE)
     if out_blochs is not None:
-        ref_bs = bloch_of_states(np.stack(cands))
+        ref_bs = np.stack(cands)
         vals = _kernels.relent_pairwise(out_blochs[sub], ref_bs)
         vals[:, np.linalg.norm(ref_bs, axis=1) >= 1.0 - 1e-10] = -math.inf
     else:  # relent_to_ref_batch at every candidate
@@ -628,12 +640,16 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
     over candidate output references, the lower end's average output
     among them, of the divergence sup over the grid, polished by a local
     ascent from every grid maximum (grid points no lower than their 8
-    nearest neighbours); under an energy bound the sup is of the
-    divergence less lam times the energy, plus lam h.  Only the four
-    references of least unpolished grid sup are polished, in ascending
-    order, and a reference whose grid sup is already no lower than the
-    running min is skipped with all after it: a polish starts from that
-    grid sup and only rises, so the skip leaves the min unchanged.  The
+    nearest neighbours; on qubit outputs one batched Newton polish on the
+    Bloch sphere, see _grid_sup_to_ref); under an energy bound the sup
+    is of the divergence less lam times the energy, plus lam h.  The
+    other candidates are the outputs of the inputs r u (r = 0, 1/3, 2/3,
+    0.95, u on a 32-point grid) and of I/2, on qubit outputs the Bloch
+    vectors T (r u) + t of one product.  Only the four references of
+    least unpolished grid sup are polished, in ascending order, and a
+    reference whose grid sup is already no lower than the running min is
+    skipped with all after it: a polish starts from that grid sup and
+    only rises, so the skip leaves the min unchanged.  The
     ranking scans in full only the references that can be among those
     four (see _reference_sups): each is first bounded from below by its
     sup over every 32nd grid point, which never exceeds its sup over the
@@ -676,21 +692,25 @@ def brute_force_capacity(channel: Channel, constraint: ConstraintSet = UNCONSTRA
         lower = entropy_raw(out_rho) - float(res.fun)
         w = res.x
 
-    # --- upper bound: min over candidate references of the grid sup
-    cands = []
-    if not isinstance(constraint, Singleton):  # the lower end's average output
-        cands.append(state_of_bloch(w @ out_blochs) if out_blochs is not None
-                     else np.einsum("i,ijk->jk", w, outs))
+    # --- upper bound: min over candidate references of the grid sup: the
+    # outputs of inputs r u, the maximally mixed one last, as Bloch vectors
+    # T (r u) + t on qubit outputs
     dirs = _optim._fibonacci_grid(32)
-    for r in (0.0, 1.0 / 3.0, 2.0 / 3.0, 0.95):
-        for u in dirs if r > 0 else dirs[:1]:
-            cands.append(channel.apply_raw(state_of_bloch(r * u)))
-    cands.append(channel.apply_raw(np.eye(2, dtype=complex) / 2.0))
+    ins = np.vstack([np.zeros((1, 3)), *(r * dirs for r in (1.0 / 3.0, 2.0 / 3.0, 0.95)),
+                     np.zeros((1, 3))])
+    if out_blochs is not None:
+        tm, tv = bloch_map(channel)
+        cands = list(ins @ tm.T + tv)
+    else:
+        cands = [channel.apply_raw(state_of_bloch(p)) for p in ins]
+    if not isinstance(constraint, Singleton):  # the lower end's average output
+        cands.insert(0, w @ out_blochs if out_blochs is not None
+                     else np.einsum("i,ijk->jk", w, outs))
 
     if isinstance(constraint, Singleton):
         out_rho = channel.apply_raw(constraint.rho.mat)
         log_terms = []
-        for ref in cands:
+        for ref in map(_ref_matrix, cands):
             if _optim.escape_witness(channel, ref)[0] > 1e-8:
                 continue
             log_terms.append(float(np.real(np.trace(out_rho @ logm_psd(ref)))))

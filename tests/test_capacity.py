@@ -1081,19 +1081,85 @@ def test_oracle_reference_ranking_is_exact(monkeypatch):
     assert scans < cands_total / 4
 
 
+def _nelder_mead_sup(real):
+    """_grid_sup_to_ref with each grid peak polished one at a time by
+    Nelder-Mead on the input's angles, the divergence taken from
+    _kernels.relent_to_ref; other calls go to `real`."""
+    def sup(channel, blochs, out_blochs, outs, ref, neighbours=None, out_hs=None,
+            linear=None):
+        kw = {"out_hs": out_hs, "linear": linear}
+        ref_b = ref if ref.ndim == 1 else bloch_of_state(ref)
+        if neighbours is None or out_blochs is None \
+                or np.linalg.norm(ref_b) >= _kernels._PURE_EDGE:
+            return real(channel, blochs, out_blochs, outs, ref, neighbours, **kw)
+        tm, tv = bloch_map(channel)
+
+        def value(p):
+            val = _kernels.relent_to_ref(np.atleast_2d(p @ tm.T + tv), ref_b)
+            if linear is not None:
+                val = val - 0.5 * (np.trace(linear).real + np.atleast_2d(p)
+                                   @ bloch_of_state(linear))
+            return val
+
+        vals = value(blochs)
+        near = vals[np.asarray(neighbours)]
+        best = float(np.max(vals))
+        peaks = np.flatnonzero((vals >= near.max(axis=1))
+                               & (vals > near.min(axis=1) + 1e-12 * (1.0 + abs(best))))
+        peaks = np.union1d(peaks, [int(np.argmax(vals))])
+        peaks = peaks[np.argsort(vals[peaks])[::-1][:16]]
+
+        def neg_f(ang):
+            th, ph = ang
+            return -float(value(np.array([math.sin(th) * math.cos(ph),
+                                          math.sin(th) * math.sin(ph), math.cos(th)]))[0])
+        for u in blochs[peaks]:
+            res = sciopt.minimize(neg_f, np.array([math.acos(max(-1.0, min(1.0, u[2]))),
+                                                   math.atan2(u[1], u[0])]),
+                                  method="Nelder-Mead",
+                                  options={"maxiter": 200, "xatol": 1e-10, "fatol": 1e-13})
+            best = max(best, float(-res.fun))
+        return best
+    return sup
+
+
+def test_oracle_newton_polish_matches_nelder_mead(monkeypatch):
+    # the qubit-output polish of the oracle's upper end, one batched
+    # Newton call, against a Nelder-Mead polish of every peak
+    from holevo_lab import capacity as capmod
+    rng = np.random.default_rng(24)
+    chans = [hl.random_channel(rng, 2, 2, rank) for rank in (1, 2, 3, 4)]
+    for gamma in (0.2, 0.5, 0.9):
+        chans.append(Channel((np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]]),
+                              np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]]))))
+    chans.append(hl.noiseless(2))
+    bound = hl.ExpectationBound(hl.HermitianOperator(np.diag([0.0, 1.0])), 0.3)
+    reference = _nelder_mead_sup(capmod._grid_sup_to_ref)
+    for ch in chans:
+        for constraint in (hl.UNCONSTRAINED, bound):
+            lo, up = hl.brute_force_capacity(ch, constraint, resolution=4096)
+            with monkeypatch.context() as m:
+                m.setattr(capmod, "_grid_sup_to_ref", reference)
+                want_lo, want_up = hl.brute_force_capacity(ch, constraint, resolution=4096)
+            assert lo.hex() == want_lo.hex()
+            assert abs(up - want_up) <= 1e-12
+
+
 # capacity values, outer iterations and oracle brackets (by float.hex) of
 # the first six qubit benchmark inputs of seed 1, recorded with the
 # per-start matrix ascent and every reference polished, on one BLAS
 # thread: OpenBLAS threads the oracle's long products, and on two threads
 # the lower end of input 4 comes out 2 ulp lower (0x1.b060736cc2408p-3)
-# with either ascent
+# with either ascent.  The upper ends are those of the batched Newton
+# polish: a 30-digit maximum of the same reference's divergence from the
+# same peak lies within 1.7e-16 of each
 QUBIT_SEED1_PINS = (
-    ("0x1.1064779f54c26p-1", "0x1.106c924a6411dp-1", 0.5320513601011141, 7),
-    ("0x1.bdf5f86943170p-3", "0x1.be08db51888c6p-3", 0.21777576823283976, 2),
-    ("0x1.b33b568af8d18p-4", "0x1.b34f4f54562f0p-4", 0.10627068605113664, 2),
-    ("0x1.4f4fd0fc2a6f3p-1", "0x1.4f651e3ad5ca5p-1", 0.6550547800532049, 3),
-    ("0x1.b060736cc240ap-3", "0x1.b078eae078de6p-3", 0.2111450233887378, 7),
-    ("0x1.06c1350b3d50ep-2", "0x1.06ce0754c0e38p-2", 0.2566347066561604, 6),
+    ("0x1.1064779f54c26p-1", "0x1.106c924a6411bp-1", 0.5320513601011141, 7),
+    ("0x1.bdf5f86943170p-3", "0x1.be08db51888bep-3", 0.21777576823283976, 2),
+    ("0x1.b33b568af8d18p-4", "0x1.b34f4f54562ecp-4", 0.10627068605113664, 2),
+    ("0x1.4f4fd0fc2a6f3p-1", "0x1.4f651e3ad5c9dp-1", 0.6550547800532049, 3),
+    ("0x1.b060736cc240ap-3", "0x1.b078eae078ddcp-3", 0.2111450233887378, 7),
+    ("0x1.06c1350b3d50ep-2", "0x1.06ce0754c0e37p-2", 0.2566347066561604, 6),
 )
 
 

@@ -48,14 +48,6 @@ def test_relent_to_ref_matches_pairwise_kernel(rng):
         assert np.array_equal(_kernels.relent_to_ref(a, b), want)
 
 
-def test_divergence_to_ref_matches_kernel(rng):
-    a = random_bloch(rng, 50)
-    for b in (random_bloch(rng, 1, r_max=0.99)[0], np.zeros(3)):
-        f = _kernels.divergence_to_ref(b)
-        want = _kernels.relent_to_ref(a, b)
-        assert np.max(np.abs([f(x) for x in a] - want)) <= 1e-14
-
-
 def test_fibonacci_sphere_covers():
     pts = _kernels.fibonacci_sphere(500)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
