@@ -331,12 +331,16 @@ def row_solve(backend, a: np.ndarray, rhs: np.ndarray, ineq: np.ndarray,
     return WeightSolve(w, chi, upper - chi, "max_iter", best, cols[:, m:])
 
 
+@functools.lru_cache(maxsize=64)
 def _tangent_basis(k: int) -> np.ndarray:
     """Orthonormal basis (k, k-1) of {d : sum d = 0}: the last k-1
-    columns of the Householder reflection that maps e_1 to 1/sqrt(k)."""
+    columns of the Householder reflection that maps e_1 to 1/sqrt(k),
+    built once per k (read-only)."""
     u = np.full(k, 1.0 / math.sqrt(k))
     u[0] -= 1.0
-    return np.eye(k)[:, 1:] - np.outer(u, u[1:]) * (2.0 / (u @ u))
+    z = np.eye(k)[:, 1:] - np.outer(u, u[1:]) * (2.0 / (u @ u))
+    z.flags.writeable = False
+    return z
 
 
 def _newton_step(grad, hess, w, work):
@@ -347,7 +351,7 @@ def _newton_step(grad, hess, w, work):
     strictly concave: along the near-null space of H the model is almost
     linear, and the step runs to a vertex as in the simplex method."""
     p = -hess(work)
-    p[np.diag_indices_from(p)] += 1e-10 * float(np.max(np.diag(p))) + 1e-14
+    p.flat[::len(p) + 1] += 1e-10 * float(np.max(np.diag(p))) + 1e-14
     g = grad[work]
     x0 = w[work]
     x = x0.copy()
@@ -362,7 +366,7 @@ def _newton_step(grad, hess, w, work):
             # members' outputs are affinely dependent
             z = _tangent_basis(f.size)
             try:
-                s = z @ np.linalg.solve(z.T @ p[np.ix_(f, f)] @ z, -(z.T @ q[f]))
+                s = z @ np.linalg.solve(z.T @ p[f[:, None], f] @ z, -(z.T @ q[f]))
             except np.linalg.LinAlgError:
                 return None
             neg = s < 0.0
@@ -629,7 +633,7 @@ def _is_classical(channel: Channel, linear: np.ndarray | None = None) -> bool:
 
 def radius_sup(channel: Channel, ref: np.ndarray, rng: np.random.Generator,
                grid: int = 4096, linear: np.ndarray | None = None,
-               polish: bool = True, starts: np.ndarray | None = None):
+               starts: np.ndarray | None = None):
     """sup over pure inputs of D(Phi(psi)||ref) - <psi|L|psi>.
 
     Returns (value, argmax_vectors, certified).  certified is True when
@@ -644,12 +648,16 @@ def radius_sup(channel: Channel, ref: np.ndarray, rng: np.random.Generator,
     polishes of starts.  The ascent is monotone, so the value is at least
     that of every start: started from the live support states of an
     ensemble, by Donald's identity sum_i w_i D(Phi(psi_i)||ref) = chi +
-    D(omega||ref) it is at least the ensemble's chi.  polish=False skips
-    the polish and the starts, for callers that only need a cheap ranking.
-    The qubit grid's inputs, outputs and output entropies come from the
-    channel's grid table (_grid_table, built once per channel and grid
-    size), so a call computes only the cross term Tr Y log ref and the
-    linear term over the grid.
+    D(omega||ref) it is at least the ensemble's chi.
+
+    The qubit grid is ranked without output matrices on qubit outputs:
+    with log ref = m0 I + m.sigma (the pseudo-log, any Hermitian log
+    will do) and L = l0 I + l.sigma, the function at the input Bloch
+    vector p is c - (h(|T p + t|) - y.p), y = -T^T m - l and c = -m0 -
+    m.t - l0, (T, t) = bloch_map(channel), and the output Bloch vectors
+    and entropies come from the channel's Bloch table (_bloch_table).
+    Other outputs read the matrix table (_grid_table).  Both tables are
+    built once per channel and grid size.
     """
     d = channel.d_in
     mass, esc = escape_witness(channel, ref)
@@ -672,22 +680,27 @@ def radius_sup(channel: Channel, ref: np.ndarray, rng: np.random.Generator,
         order = np.argsort(vals)[::-1]
         return float(vals[order[0]]), [psis[i] for i in order[:2]], True
 
-    if d == 2:
+    if d == 2 and channel.d_out == 2:
+        q, hs = _bloch_table(channel, grid)
+        tm, tv = bloch_map(channel)
+        m0, m = _pauli_parts(log_ref)
+        l0, l = (0.0, np.zeros(3)) if linear is None else _pauli_parts(linear)
+        y = -(tm.T @ m) - l
+        c = -m0 - float(m @ tv) - l0
+        psis = _grid_states(grid)
+        vals = c - (hs - _fibonacci_grid(grid) @ y)
+    elif d == 2:
         # relent_to_ref_batch and the linear term of value_of on the
         # channel's grid table
         psis, outs, hs = _grid_table(channel, grid)
         vals = -hs - np.real(np.einsum("gij,ji->g", outs, log_ref))
         if linear is not None:
             vals = vals - np.real(np.einsum("gi,ij,gj->g", psis.conj(), linear, psis))
-        certify = True
     else:
         psis = seed_pure_states(d, MULTISTART, rng)
         vals = value_of(psis)
-        certify = False
     order = np.argsort(vals)[::-1]
     best_val, best_psi = float(vals[order[0]]), psis[order[0]].copy()
-    if not polish:
-        return best_val, list(psis[order[:2]]), certify
     heads = psis[order[:8 if d == 2 else MULTISTART // 2]]
     n_grid = len(heads)
     if starts is not None:
@@ -697,7 +710,7 @@ def radius_sup(channel: Channel, ref: np.ndarray, rng: np.random.Generator,
     if pvals[top] > best_val:
         best_val, best_psi = float(pvals[top]), ppsis[top]
     ranked = np.argsort(-pvals[:n_grid], kind="stable")[:2]
-    return best_val, [best_psi, *ppsis[ranked], *ppsis[n_grid:]], certify
+    return best_val, [best_psi, *ppsis[ranked], *ppsis[n_grid:]], d == 2
 
 
 # ---------------------------------------------------------------------------
@@ -912,15 +925,35 @@ def _fibonacci_grid(grid: int) -> np.ndarray:
     return pts
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_states(grid: int) -> np.ndarray:
+    """qubit_pure_states of _fibonacci_grid(grid), built once per size
+    (read-only)."""
+    psis = qubit_pure_states(_fibonacci_grid(grid))
+    psis.flags.writeable = False
+    return psis
+
+
 def _grid_table(channel: Channel, grid: int):
     """(pure inputs (G, 2), outputs (G, d, d), their entropies (G,)) on
     the Fibonacci grid of G = grid points, built once per channel
-    (read-only)."""
+    (read-only).  Qubit outputs use _bloch_table instead."""
     def build():
-        psis = qubit_pure_states(_fibonacci_grid(grid))
+        psis = _grid_states(grid)
         outs = batch_outputs_pure(channel, psis)
         return psis, outs, entropy_batch(outs)
     return _memoized(channel, ("grid", grid), build)
+
+
+def _bloch_table(channel: Channel, grid: int):
+    """(output Bloch vectors q = P T^T + t (G, 3), their entropies
+    h(|q|) (G,)) of a qubit -> qubit channel on the Fibonacci grid P of
+    G = grid points, as brute_force_capacity computes its grid, built
+    once per channel (read-only)."""
+    def build():
+        q = qubit_grid_outputs(channel, _fibonacci_grid(grid))[0]
+        return q, _kernels.entropy_from_radius(np.linalg.norm(q, axis=1))
+    return _memoized(channel, ("bloch_grid", grid), build)
 
 
 def _grid_lp(vals: np.ndarray, pts: np.ndarray, b: np.ndarray):

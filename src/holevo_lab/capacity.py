@@ -203,33 +203,34 @@ def _radius_expectation(channel: Channel, bound: ExpectationBound,
             sub, ref, rng, grid=opts.grid, starts=None if starts is None else starts @ eg.conj())
         return val, [eg @ s for s in states], cert
 
-    def g(lmb: float, polish: bool = True):
+    def g(lmb: float):
         val, states, cert = _optim.radius_sup(channel, ref, rng, grid=opts.grid,
-                                              linear=lmb * hmat, polish=polish,
-                                              starts=starts)
+                                              linear=lmb * hmat, starts=starts)
         return lmb * bound.h + val, states, cert
 
     if lmb is not None:
         return g(lmb)
-    # locate the envelope minimum on cheap unpolished sups, then certify
-    # the few final candidates with the polished evaluation
+
+    def slope(sup):  # h - <psi*|H|psi*> at the sup's argmax psi*
+        psi = sup[1][0]
+        return bound.h - float(np.real(np.vdot(psi, hmat @ psi)))
+
+    # the envelope is convex in lam, with slope h - <psi*|H|psi*> (Danskin):
+    # bisect on its sign, and keep the least of the sups evaluated, each a
+    # bound on its own
+    best = g(0.0)
+    if slope(best) >= 0.0:
+        return best
     lo, hi = 0.0, 10.0 * span
-    phi_ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - phi_ratio * (hi - lo)
-    x2 = lo + phi_ratio * (hi - lo)
-    f1, f2 = g(x1, False)[0], g(x2, False)[0]
-    for _ in range(30):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi_ratio * (hi - lo)
-            f1 = g(x1, False)[0]
+    while hi - lo >= 1e-9 * span:
+        mid = 0.5 * (lo + hi)
+        sup = g(mid)
+        best = min(best, sup, key=lambda t: t[0])
+        if slope(sup) > 0.0:
+            hi = mid
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi_ratio * (hi - lo)
-            f2 = g(x2, False)[0]
-        if hi - lo < 1e-9 * span:
-            break
-    return min((g(0.0), g(x1), g(x2)), key=lambda t: t[0])
+            lo = mid
+    return best
 
 
 def divergence_radius_at(channel: Channel, constraint: ConstraintSet,
@@ -296,10 +297,13 @@ def _solve_support_problem(channel: Channel, constraint: ConstraintSet,
     def _grid_seed_states():
         # column generation on a coarse grid locates the optimal support
         # structure cheaply
-        psis, outs0, _ = _optim._grid_table(channel, 256)
-        w_grid = _optim.column_generation(_optim.weight_backend(outs0), len(psis)).w
+        if channel.d_out == 2:
+            backend = _optim.bloch_backend(_optim._bloch_table(channel, 256)[0])
+        else:
+            backend = _optim.matrix_backend(_optim._grid_table(channel, 256)[1])
+        w_grid = _optim.column_generation(backend, 256).w
         tops = np.argsort(w_grid)[::-1][:8]
-        return list(psis[tops[w_grid[tops] > 1e-8]])
+        return list(_optim._grid_states(256)[tops[w_grid[tops] > 1e-8]])
 
     grid_seeded = not (d == 2 and "classical" not in channel.tags)
 

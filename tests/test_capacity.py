@@ -14,7 +14,7 @@ from holevo_lab.capacity import SolverOptions
 from holevo_lab.channels import (
     ClassicalChannelSpec, Channel, bloch_map, bloch_of_state, bloch_of_states, state_of_bloch)
 from holevo_lab.opalg import (
-    entropy_raw, logm_psd, random_density, relative_entropy_raw, trace_norm)
+    entropy_batch, entropy_raw, logm_psd, random_density, relative_entropy_raw, trace_norm)
 
 LOG2 = math.log(2.0)
 
@@ -112,32 +112,101 @@ def test_radius_sup_is_at_least_every_start(rng):
 
 
 def test_radius_sup_on_a_warm_channel_matches_a_fresh_copy():
-    # the grid table is built on the first call per channel and grid; later
-    # calls, and a fresh channel with the same Kraus operators, give the
-    # same values and vectors bit for bit, and the unpolished value is the
-    # max of relent_to_ref_batch less the linear term over the grid
+    # the grid tables are built on the first call per channel and grid;
+    # later calls, and a fresh channel with the same Kraus operators, give
+    # the same values and vectors bit for bit
     rng = np.random.default_rng(23)
     linear = np.diag([0.0, 0.7]).astype(complex)
     for d_out, rank in ((2, 2), (2, 4), (3, 3)):
         ch = hl.random_channel(rng, 2, d_out, rank)
         ref = random_density(rng, d_out).mat
         for grid in (1024, 4096):
-            psis = _optim.qubit_pure_states(_kernels.fibonacci_sphere(grid))
-            outs = _optim.batch_outputs_pure(ch, psis)
             for lin in (None, linear):
-                vals = _optim.relent_to_ref_batch(outs, ref)
-                if lin is not None:
-                    vals = vals - np.real(np.einsum("gi,ij,gj->g", psis.conj(), lin, psis))
-                for polish in (False, True):
-                    runs = [_optim.radius_sup(c, ref, np.random.default_rng(0), grid=grid,
-                                              linear=lin, polish=polish)
-                            for c in (ch, ch, Channel(ch.kraus, tags=ch.tags))]
-                    if not polish:
-                        assert runs[0][0].hex() == float(np.max(vals)).hex()
-                    for val, states, cert in runs[1:]:
-                        assert val.hex() == runs[0][0].hex() and cert == runs[0][2]
-                        assert len(states) == len(runs[0][1])
-                        assert all(np.array_equal(a, b) for a, b in zip(states, runs[0][1]))
+                runs = [_optim.radius_sup(c, ref, np.random.default_rng(0), grid=grid,
+                                          linear=lin)
+                        for c in (ch, ch, Channel(ch.kraus, tags=ch.tags))]
+                for val, states, cert in runs[1:]:
+                    assert val.hex() == runs[0][0].hex() and cert == runs[0][2]
+                    assert len(states) == len(runs[0][1])
+                    assert all(np.array_equal(a, b) for a, b in zip(states, runs[0][1]))
+
+
+def _matrix_table_radius_sup(channel, ref, grid, linear, starts):
+    """radius_sup on qubit inputs with the grid ranked on output matrices,
+    as it was before qubit outputs read the Bloch table: the reference
+    for the closed-form ranking."""
+    log_ref = logm_psd(ref)
+    psis = _optim.qubit_pure_states(_kernels.fibonacci_sphere(grid))
+    outs = _optim.batch_outputs_pure(channel, psis)
+    vals = -entropy_batch(outs) - np.real(np.einsum("gij,ji->g", outs, log_ref))
+    if linear is not None:
+        vals = vals - np.real(np.einsum("gi,ij,gj->g", psis.conj(), linear, psis))
+    order = np.argsort(vals)[::-1]
+    best_val, best_psi = float(vals[order[0]]), psis[order[0]].copy()
+    heads = psis[order[:8]]
+    if starts is not None:
+        heads = np.concatenate([heads, starts])
+    pvals, ppsis = _optim.pure_ascent(channel, log_ref, heads, linear=linear)
+    top = int(np.argmax(pvals))
+    if pvals[top] > best_val:
+        best_val, best_psi = float(pvals[top]), ppsis[top]
+    ranked = np.argsort(-pvals[:8], kind="stable")[:2]
+    return best_val, [best_psi, *ppsis[ranked], *ppsis[8:]]
+
+
+def test_qubit_radius_sup_bloch_table_matches_matrix_table():
+    # ranking the grid by c - (h(|q|) - y.p) picks the same heads as the
+    # matrix formula, so values and vectors agree bit for bit, at the
+    # pseudo-log of a rank-deficient reference and at ref = I (trace 2) too
+    rng = np.random.default_rng(11)
+    chans = [(r, hl.random_channel(rng, 2, 2, r)) for r in (1, 2, 3, 4)]
+    near_tp = Channel(tuple(k * (1.0 + 5e-11) for k in hl.random_channel(rng, 2, 2, 3).kraus))
+    chans.append(("near_tp", near_tp))
+    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    full = (u * [0.8, 0.2]) @ u.conj().T
+    near_pure = (1.0 - 2e-9) * random_density(rng, 2, rank=1).mat + 1e-9 * np.eye(2)
+    cases = [(rank, ch, name, ref) for rank, ch in chans
+             for name, ref in (("full", full), ("near_pure", near_pure), ("eye", np.eye(2)))]
+    damping = Channel((np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])))
+    cases.append(("damping", damping, "ground", np.diag([1.0, 0.0]).astype(complex)))
+    starts = _optim.seed_pure_states(2, 3, rng)
+    for rank, ch, name, ref in cases:
+        for lin in (None, np.diag([0.0, 0.7]).astype(complex)):
+            # a unitary channel at I, and full damping at its fixed point,
+            # have the divergence 0 on the whole sphere: both rankings order
+            # rounding noise, so only the value is compared, with 0
+            flat = lin is None and (rank, name) in ((1, "eye"), ("damping", "ground"))
+            for st in (None, starts):
+                for grid in (1024, 4096):
+                    val, states, cert = _optim.radius_sup(
+                        ch, ref, np.random.default_rng(0), grid=grid, linear=lin, starts=st)
+                    want, want_states = _matrix_table_radius_sup(ch, ref, grid, lin, st)
+                    assert cert and len(states) == len(want_states)
+                    if flat:
+                        assert abs(val) <= 1e-15 and abs(want) <= 1e-15
+                        continue
+                    assert val.hex() == want.hex()
+                    assert all(np.array_equal(a, b) for a, b in zip(states, want_states))
+
+
+def test_qubit_output_sups_never_build_the_matrix_table(monkeypatch):
+    # qubit -> qubit sups and grid seeds read the Bloch table: no output
+    # stack is eigensolved, and the memo holds no matrix table
+    def forbidden(*args, **kw):
+        raise AssertionError("entropy_batch called")
+    monkeypatch.setattr(_optim, "entropy_batch", forbidden)
+    rng = np.random.default_rng(3)
+    ch = hl.random_channel(rng, 2, 2, 3)
+    assert hl.chi_capacity(ch, tol=1e-6).gap <= 1e-6
+    assert 0.0 <= hl.min_output_entropy(ch) <= LOG2
+    assert {("bloch_grid", 256), ("bloch_grid", 1024), ("bloch_grid", 4096)} <= set(ch._memo)
+    assert not any(isinstance(k, tuple) and k[0] == "grid" for k in ch._memo)
+    wide = hl.random_channel(rng, 2, 3, 2)
+    with pytest.raises(AssertionError, match="entropy_batch called"):
+        hl.min_output_entropy(wide)
+    monkeypatch.undo()
+    hl.min_output_entropy(wide)
+    assert ("grid", 4096) in wide._memo
 
 
 # --- pure-state ascent -------------------------------------------------------
